@@ -148,7 +148,8 @@ def calibrate(
         )
         return lin, scn
 
-    stats = map_indexed(one_trial, trials, workers)
+    # threads pay only for the exact scan (see montecarlo.estimate_risk)
+    stats = map_indexed(one_trial, trials, workers if method == "exact" else 1)
     lin = np.array([s[0] for s in stats])
     scn = np.array([s[1] for s in stats])
     level = 1.0 - alpha / 2.0

@@ -50,8 +50,9 @@ def save_matrix(
 
 
 def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
-    """Read a CSV matrix and its metadata; raises DimensionMismatchError if
-    the file contents disagree with the recorded dims."""
+    """Read a CSV matrix and its metadata; raises ValidationError if a cell is
+    not a number or the rows are ragged, and DimensionMismatchError if the
+    file contents disagree with the recorded dims."""
     matrix_path = Path(matrix_path)
     meta_path = Path(meta_path) if meta_path is not None else default_meta_path(matrix_path)
     try:
@@ -62,7 +63,10 @@ def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
         if key not in meta:
             raise ValidationError(f"metadata file {meta_path} missing key {key!r}")
     dims = Dims(meta["N"], meta["M"], meta["n"], meta["m"])
-    data = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"unreadable matrix file {matrix_path}: {exc}") from exc
     if data.shape != dims.shape:
         raise DimensionMismatchError(
             f"matrix file is {data.shape[0]}x{data.shape[1]}, metadata says {dims.N}x{dims.M}"

@@ -1,8 +1,20 @@
 """Thread-pool helpers with results independent of the worker count.
 
 Work items are keyed by their index and results are collected back in index
-order, so any reduction over them is identical to a sequential run.  numpy
-releases the GIL inside its kernels, which is where the time goes.
+order, so any reduction over them is identical to a sequential run.
+
+Threads pay only where the work is a few large numpy kernels, which release
+the GIL:
+
+* the exact scan's chunk gathers (`map_windowed` over enumeration chunks);
+* Monte Carlo trials that run the exact scan (`map_indexed` over trials in
+  `estimate_risk` and `calibrate`);
+* `vector_risk` and `max_gauss_exceedance`, whose trials are each one long
+  Gaussian draw.
+
+A heuristic or brute-force trial is a loop of small array calls that holds
+the GIL most of the time, so those trials run serially whatever worker count
+is asked for.
 """
 
 from __future__ import annotations

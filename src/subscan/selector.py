@@ -179,22 +179,47 @@ def scan_brute_force(
     return SelectorResult(support, _objective(Y, rows, cols), "brute_force")
 
 
-def _ascend(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
-    """Alternate row/column top-k updates from an initial row set until the
-    objective stops strictly increasing.  Returns (rows, cols, objective,
-    per-cycle objective history)."""
-    cols = top_indices(Y[rows].sum(axis=0), m)
-    obj = _objective(Y, rows, cols)
-    history = [obj]
+def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise top_indices: the k largest entries of each row, ties to the
+    smaller index, sorted ascending."""
+    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
+    """Alternating row/column top-k updates for all restarts at once.
+
+    `rows` holds one initial row set per line.  A restart leaves the active
+    set at its first cycle whose objective does not strictly rise.  Returns
+    (rows, cols, objective, cycles), one line or entry per restart.  The sums
+    reduce the same axes as the one-restart expressions Y[:, cols].sum(axis=1),
+    Y[rows].sum(axis=0) and Y[np.ix_(rows, cols)].sum(), so every float is
+    bit-identical to them.
+    """
+    rows = rows.copy()
+
+    def col_sums(r):
+        return Y[r].sum(axis=1)
+
+    def objectives(r, c):
+        return Y[r[:, :, None], c[:, None, :]].reshape(len(r), n * m).sum(axis=1)
+
+    cols = _top_rows(col_sums(rows), m)
+    obj = objectives(rows, cols)
+    cycles = np.zeros(len(rows), dtype=np.intp)
+    active = np.arange(len(rows))
     for _ in range(max_cycles):
-        rows_next = top_indices(Y[:, cols].sum(axis=1), n)
-        cols_next = top_indices(Y[rows_next].sum(axis=0), m)
-        obj_next = _objective(Y, rows_next, cols_next)
-        if obj_next <= obj:
+        rows_next = _top_rows(Y[:, cols[active]].sum(axis=2).T, n)
+        cols_next = _top_rows(col_sums(rows_next), m)
+        obj_next = objectives(rows_next, cols_next)
+        rise = ~(obj_next <= obj[active])
+        active = active[rise]
+        if active.size == 0:
             break
-        rows, cols, obj = rows_next, cols_next, obj_next
-        history.append(obj)
-    return rows, cols, obj, history
+        rows[active] = rows_next[rise]
+        cols[active] = cols_next[rise]
+        obj[active] = obj_next[rise]
+        cycles[active] += 1
+    return rows, cols, obj, cycles
 
 
 def scan_heuristic(
@@ -206,25 +231,26 @@ def scan_heuristic(
     max_cycles: int = MAX_ALTERNATIONS,
 ) -> SelectorResult:
     """Best fixed point of alternating maximization over `restarts` random
-    initial row sets (streams keyed by (seed, restart))."""
+    initial row sets (streams keyed by (seed, restart)).  `iterations` is the
+    winning restart's number of improving cycles."""
     Y = _check_shape(obs, n, m)
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     N = Y.shape[0]
-    best = None
-    best_cycles = 0
+    init = np.array([
+        np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
+        for r in range(restarts)
+    ])
+    rows, cols, obj, cycles = _climb(Y, init, n, m, max_cycles)
+    best, best_r = None, 0
     for r in range(restarts):
-        init = np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
-        rows, cols, obj, history = _ascend(Y, init, n, m, max_cycles)
-        cand = (obj, tuple(int(i) for i in rows), tuple(int(j) for j in cols))
+        cand = (float(obj[r]), tuple(rows[r].tolist()), tuple(cols[r].tolist()))
         if _improves(cand, best):
-            best = cand
-            best_cycles = len(history) - 1
-    _, rows, cols = best
-    support = Support(rows, cols)
+            best, best_r = cand, r
+    objective, best_rows, best_cols = best
     return SelectorResult(
-        support, _objective(Y, rows, cols), "heuristic",
-        iterations=best_cycles, restarts_used=restarts,
+        Support(best_rows, best_cols), objective, "heuristic",
+        iterations=int(cycles[best_r]), restarts_used=restarts,
     )
 
 

@@ -268,3 +268,15 @@ def test_worker_env_var_default(monkeypatch):
     monkeypatch.setenv("SUBSCAN_THREADS", "6")
     assert resolve_workers(None) == 6
     assert resolve_workers(2) == 2  # explicit value wins
+
+
+@pytest.mark.parametrize("body", ["1,2\n3,x\n", "1,2\n3,4,5\n"], ids=["non_numeric", "ragged"])
+def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body):
+    matrix = tmp_path / "bad.csv"
+    matrix.write_text(body)
+    (tmp_path / "bad.csv.meta.json").write_text(json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}))
+    code, _, err = run_cli(["select", "--matrix", str(matrix)], capsys)
+    assert code == EXIT_USAGE
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert str(matrix) in payload["detail"]

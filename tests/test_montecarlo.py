@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,34 @@ def test_estimate_risk_brute_force_route():
     brute = estimate_risk(d, 2.5, 30, seed=95, selector_method="brute_force")
     assert exact.failures == brute.failures
     assert exact.mean_overlap == brute.mean_overlap
+
+
+def test_z95_is_the_scipy_quantile():
+    from scipy.stats import norm
+
+    from subscan.montecarlo import _Z95
+
+    assert _Z95 == float(norm.ppf(0.975))
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, subscan; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("method, expected", [("exact", 2), ("heuristic", 1), ("brute_force", 1)])
+def test_only_exact_trials_fan_out(monkeypatch, method, expected):
+    import subscan.montecarlo as mc
+
+    seen = []
+
+    def record(fn, count, workers=None):
+        seen.append(workers)
+        return [fn(i) for i in range(count)]
+
+    monkeypatch.setattr(mc, "map_indexed", record)
+    estimate_risk(Dims(6, 6, 2, 2), 2.0, 3, seed=5, selector_method=method, restarts=2, workers=2)
+    assert seen == [expected]

@@ -12,6 +12,8 @@ from subscan import (
     Observation,
     SignalSpec,
     ValidationError,
+    canonical_support,
+    critical_value,
     generate,
     generate_null,
     log_lr,
@@ -21,7 +23,7 @@ from subscan import (
     scan_heuristic,
     vector_select,
 )
-from subscan.selector import _ascend, top_indices
+from subscan.selector import _climb, top_indices
 from subscan.streams import gaussian_stream
 
 
@@ -236,12 +238,107 @@ def test_heuristic_single_restart_finds_dominant_signal():
 
 
 def test_heuristic_ascent_is_strictly_increasing():
+    # capping the climb at k cycles gives every restart's objective after k
+    # cycles: it rises strictly with each cycle a restart takes, then stays
     for seed in range(20):
         Y = gaussian_stream(800 + seed).standard_normal((15, 15))
-        init = np.sort(gaussian_stream(900 + seed).choice(15, size=4, replace=False))
-        _, _, obj, history = _ascend(Y, init, 4, 4, 1000)
-        assert all(b > a for a, b in zip(history, history[1:]))
-        assert history[-1] == obj
+        init = np.array([
+            np.sort(gaussian_stream(900 + seed, (r,)).choice(15, size=4, replace=False))
+            for r in range(6)
+        ])
+        rows, cols, final_obj, final_cycles = _climb(Y, init, 4, 4, 1000)
+        prev = None
+        for k in range(int(final_cycles.max()) + 2):
+            _, _, obj, cycles = _climb(Y, init, 4, 4, k)
+            assert np.array_equal(cycles, np.minimum(k, final_cycles))
+            if prev is not None:
+                moved = final_cycles >= k
+                assert np.all(obj[moved] > prev[moved])
+                assert np.array_equal(obj[~moved], prev[~moved])
+            prev = obj
+        assert np.array_equal(prev, final_obj)
+        for r in range(len(init)):
+            assert final_obj[r] == Y[np.ix_(rows[r], cols[r])].sum()
+
+
+def _reference_heuristic(Y, n, m, restarts, seed, max_cycles=1000):
+    # one restart at a time, each a loop of top_indices and np.ix_ sums
+    best, best_cycles = None, 0
+    for r in range(restarts):
+        rows = np.sort(gaussian_stream(seed, (r,)).choice(Y.shape[0], size=n, replace=False))
+        cols = top_indices(Y[rows].sum(axis=0), m)
+        obj, cycles = Y[np.ix_(rows, cols)].sum(), 0
+        for _ in range(max_cycles):
+            rows_next = top_indices(Y[:, cols].sum(axis=1), n)
+            cols_next = top_indices(Y[rows_next].sum(axis=0), m)
+            obj_next = Y[np.ix_(rows_next, cols_next)].sum()
+            if obj_next <= obj:
+                break
+            rows, cols, obj, cycles = rows_next, cols_next, obj_next, cycles + 1
+        cand = (float(obj), tuple(rows.tolist()), tuple(cols.tolist()))
+        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
+            best, best_cycles = cand, cycles
+    return best, best_cycles
+
+
+@pytest.mark.parametrize("N, M, n, m", [(12, 12, 3, 3), (30, 50, 3, 7), (40, 40, 9, 10), (20, 60, 2, 20)])
+@pytest.mark.parametrize("kind", ["gauss", "integer", "binary"])
+def test_heuristic_matches_one_restart_reference(N, M, n, m, kind):
+    for seed in range(8):
+        Z = gaussian_stream(5000 + seed, (N, M)).standard_normal((N, M))
+        Y = {"gauss": Z, "integer": np.round(2 * Z), "binary": (Z > 0.3).astype(float)}[kind]
+        restarts, max_cycles = (1, 5, 20, 20)[seed % 4], (1000, 1, 2, 1000)[seed % 4]
+        res = scan_heuristic(
+            Observation(Y, Dims(N, M, n, m)), n, m,
+            restarts=restarts, seed=seed, max_cycles=max_cycles,
+        )
+        (obj, rows, cols), cycles = _reference_heuristic(Y, n, m, restarts, seed, max_cycles)
+        assert (res.objective, res.support.rows, res.support.cols, res.iterations) == (
+            obj, rows, cols, cycles
+        )
+
+
+def _binary_noise(N, M, seed):
+    return (gaussian_stream(seed).standard_normal((N, M)) > 0).astype(float)
+
+
+def _planted_at_critical(N, M, n, m, seed):
+    d = Dims(N, M, n, m)
+    return generate(d, canonical_support(d), SignalSpec(critical_value(d)), seed).data
+
+
+# (matrix, n, m, restarts, seed) -> (rows, cols, iterations, objective), as
+# returned by the one-restart-at-a-time ascent this scan replaced
+HEURISTIC_PINS = [
+    (lambda: _planted_at_critical(60, 60, 6, 6, 101), 6, 6, 20, 7,
+     (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), 2, 74.88008498567),
+    (lambda: noise_obs(50, 50, 102).data, 5, 5, 10, 8,
+     (11, 14, 19, 32, 39), (16, 31, 39, 40, 49), 3, 31.656239347747846),
+    (lambda: noise_obs(30, 50, 103).data, 3, 7, 20, 9,
+     (11, 12, 15), (13, 16, 17, 19, 39, 44, 45), 1, 29.627038176932764),
+    (lambda: _binary_noise(12, 12, 104), 3, 3, 20, 10,
+     (0, 2, 6), (1, 2, 11), 1, 9.0),
+    # dense ties in rows longer than a sort's small-array cutoff
+    (lambda: _binary_noise(40, 40, 106), 4, 4, 20, 12,
+     (0, 2, 7, 32), (6, 10, 11, 17), 2, 16.0),
+    (lambda: noise_obs(40, 40, 105).data, 4, 4, 1, 11,
+     (4, 14, 15, 23), (7, 8, 13, 23), 4, 22.25105948784141),
+]
+
+
+@pytest.mark.parametrize(
+    "make, n, m, restarts, seed, rows, cols, iterations, objective",
+    HEURISTIC_PINS,
+    ids=["60x60-planted", "50x50", "30x50-n3-m7", "12x12-binary", "40x40-binary", "restarts-1"],
+)
+def test_heuristic_pinned_results(make, n, m, restarts, seed, rows, cols, iterations, objective):
+    Y = make()
+    N, M = Y.shape
+    res = scan_heuristic(Observation(Y, Dims(N, M, n, m)), n, m, restarts=restarts, seed=seed)
+    assert (res.support.rows, res.support.cols, res.iterations, res.objective) == (
+        rows, cols, iterations, objective
+    )
+    assert res.restarts_used == restarts
 
 
 def test_heuristic_restart_guard():
