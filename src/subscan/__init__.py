@@ -1,11 +1,14 @@
 """Sparse elevated-mean submatrix selection in Gaussian noise.
 
-Instance generation, scan (maximum-sum) selectors with exact/heuristic/
-brute-force routes, closed-form critical thresholds with a regime classifier,
-a two-armed detection test with Monte Carlo calibration, and a seeded,
+Instance generation, scan (maximum-sum) selectors (the exact and heuristic
+routes behind `scan`, and the brute-force oracle they are tested against),
+closed-form critical thresholds with a regime classifier, a two-armed
+detection test with Monte Carlo calibration, and a seeded,
 thread-count-independent Monte Carlo engine for the selection-risk phase
 transition around the critical signal level.
 """
+
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -39,6 +42,7 @@ from .thresholds import (
 from .selector import (
     SelectorResult,
     log_lr,
+    scan,
     scan_brute_force,
     scan_exact,
     scan_heuristic,
@@ -62,47 +66,8 @@ from .montecarlo import (
     wilson_interval,
 )
 
-__all__ = [
-    "__version__",
-    "SubscanError",
-    "ValidationError",
-    "DimensionMismatchError",
-    "BudgetExceededError",
-    "DomainError",
-    "Dims",
-    "Support",
-    "SignalSpec",
-    "Observation",
-    "make_support",
-    "canonical_support",
-    "generate",
-    "generate_null",
-    "save_matrix",
-    "load_matrix",
-    "Thresholds",
-    "RegimeLabel",
-    "compute",
-    "critical_value",
-    "classify",
-    "vector_critical_value",
-    "vector_critical_value_power_law",
-    "SelectorResult",
-    "scan_exact",
-    "scan_brute_force",
-    "scan_heuristic",
-    "vector_select",
-    "log_lr",
-    "DetectionCalibration",
-    "DetectionResult",
-    "linear_statistic",
-    "scan_statistic",
-    "calibrate",
-    "detect",
-    "RiskEstimate",
-    "SweepResult",
-    "estimate_risk",
-    "sweep",
-    "vector_risk",
-    "max_gauss_exceedance",
-    "wilson_interval",
+# the public API is exactly the names imported above
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

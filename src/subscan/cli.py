@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Verbs: generate, select, classify, calibrate, detect, risk, sweep,
-vector-risk, maxgauss, selftest.  Every run resolves its configuration from
-built-in defaults, then an optional --config JSON file, then explicit flags
-(flags win), and echoes the resolved configuration into the output payload so
-any result can be reproduced from its own provenance.
+vector-risk, maxgauss, selftest.  VERBS declares each verb's options once,
+with type and default.  Every run resolves its configuration from those
+defaults, then an optional --config JSON file of that verb's options, then
+explicit flags (flags win), and echoes the resolved configuration into the
+output payload so any result can be reproduced from its own provenance.
 
 Exit codes:
   0  success
@@ -19,14 +20,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -36,33 +35,20 @@ from .errors import (
     ValidationError,
 )
 from .matrixio import load_matrix, save_matrix
-from .model import Dims, Observation, SignalSpec, canonical_support, generate, make_support
-from .montecarlo import (
-    estimate_risk,
-    max_gauss_exceedance,
-    sweep,
-    vector_risk,
-    wilson_interval,
-)
+from .model import Dims, SignalSpec, generate, make_support
+from .montecarlo import estimate_risk, max_gauss_exceedance, sweep, vector_risk
 from .parallel import ENV_THREADS
-from .selector import (
-    EXACT_ENUMERATION_BUDGET,
-    log_lr,
-    scan_brute_force,
-    scan_exact,
-    scan_heuristic,
-)
-from .streams import gaussian_stream
+from .selector import EXACT_ENUMERATION_BUDGET, METHODS, scan
+from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
 from .thresholds import (
     DEFAULT_DET_LARGE,
     DEFAULT_DET_SMALL,
     DEFAULT_MARGIN,
     classify,
     compute,
-    critical_value,
     vector_critical_value,
 )
-from . import detection
+from . import detection, selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -79,23 +65,71 @@ Default worker count comes from the {ENV_THREADS} environment variable;
 --threads overrides it without changing any result.
 """
 
-_DEFAULTS = {
-    "generate": {"seed": 0, "rows": None, "cols": None, "meta": None, "out": "matrix.csv"},
-    "select": {"method": "exact", "restarts": 20, "seed": 0,
-               "budget": EXACT_ENUMERATION_BUDGET, "meta": None, "n": None, "m": None, "out": None},
-    "classify": {"margin": DEFAULT_MARGIN, "det_large": DEFAULT_DET_LARGE,
-                 "det_small": DEFAULT_DET_SMALL, "out": None},
-    "calibrate": {"alpha": 0.05, "trials": 2000, "seed": 0, "method": "heuristic",
-                  "restarts": 10, "budget": EXACT_ENUMERATION_BUDGET, "out": "calibration.json"},
-    "detect": {"meta": None, "out": None},
-    "risk": {"trials": 200, "seed": 0, "method": "exact", "restarts": 20,
-             "budget": EXACT_ENUMERATION_BUDGET, "out": None},
-    "sweep": {"trials": 200, "seed": 0, "method": "heuristic", "restarts": 20,
-              "budget": EXACT_ENUMERATION_BUDGET, "out": None, "csv": None},
-    "vector-risk": {"trials": 200, "seed": 0, "a": None, "mult": None, "out": None},
-    "maxgauss": {"trials": 400, "seed": 0, "out": None},
-    "selftest": {},
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(value, convert) -> list:
+    """A comma-separated string or a JSON list, as a list of numbers."""
+    if isinstance(value, str):
+        return [convert(x) for x in value.split(",") if x != ""]
+    return list(value)
+
+
+def _number_list(convert, item_ok) -> Callable:
+    def accepts(value) -> bool:
+        try:
+            return isinstance(value, (str, list)) and all(map(item_ok, _numbers(value, convert)))
+        except ValueError:
+            return False
+
+    return accepts
+
+
+class Kind(NamedTuple):
+    """An option's value type: what argparse converts a flag with, and which
+    JSON values a config file may give (they are checked, never coerced)."""
+
+    what: str
+    accepts: Callable
+    convert: Callable | None = None
+    choices: tuple | None = None
+
+
+INT = Kind("an integer", _is_int, int)
+COUNT = Kind("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
+FLOAT = Kind("a number", lambda v: _is_int(v) or isinstance(v, float), float)
+TEXT = Kind("a string", lambda v: isinstance(v, str))
+INTS = Kind("a comma-separated integer list", _number_list(int, _is_int))
+FLOATS = Kind("a comma-separated number list", _number_list(float, FLOAT.accepts))
+METHOD = Kind(f"one of {', '.join(METHODS)}", lambda v: v in METHODS, choices=METHODS)
+
+REQUIRED = object()  # the default of an option that has none
+
+
+class Option(NamedTuple):
+    kind: Kind
+    default: object = None
+    help: str | None = None
+
+
+_DIMS = {
+    "N": Option(INT, REQUIRED, "matrix rows"),
+    "M": Option(INT, REQUIRED, "matrix columns"),
+    "n": Option(INT, REQUIRED, "submatrix rows"),
+    "m": Option(INT, REQUIRED, "submatrix columns"),
 }
+_OUT = {"out": Option(TEXT, None, "output JSON path (default: stdout)")}
+
+
+def _scan_options(method: str, restarts: int) -> dict:
+    return {
+        "method": Option(METHOD, method),
+        "restarts": Option(COUNT, restarts),
+        "seed": Option(INT, 0),
+        "budget": Option(COUNT, EXACT_ENUMERATION_BUDGET),
+    }
 
 
 @dataclass(frozen=True)
@@ -105,32 +139,8 @@ class RunConfig:
     threads: int | None
 
 
-_KNOWN_OPTION_KEYS = {
-    "N", "M", "n", "m", "a", "seed", "rows", "cols", "meta", "out", "matrix",
-    "method", "restarts", "budget", "margin", "det_large", "det_small",
-    "alpha", "trials", "calibration", "mult", "csv", "J", "t", "threads",
-}
-
-
-def _int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(x) for x in value]
-    try:
-        return [int(x) for x in str(value).split(",") if x != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated integer list, got {value!r}") from exc
-
-
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
-    try:
-        return [float(x) for x in str(value).split(",") if x != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated number list, got {value!r}") from exc
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb) -> argparse.ArgumentParser:
+    """The full verb list, with flags added only to `verb`'s subparser."""
     parser = argparse.ArgumentParser(
         prog="subscan",
         description="Sparse submatrix selection: instances, scan selectors, "
@@ -140,186 +150,68 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"subscan {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of option values; flags override it")
-    common.add_argument("--threads", type=int, help="worker thread cap (results do not depend on it)")
-    common.add_argument("--out", help="output JSON path (default: stdout)")
-
-    def dims_args(p):
-        p.add_argument("--N", type=int, help="matrix rows")
-        p.add_argument("--M", type=int, help="matrix columns")
-        p.add_argument("--n", type=int, help="submatrix rows")
-        p.add_argument("--m", type=int, help="submatrix columns")
-
-    p = sub.add_parser("generate", parents=[common], help="write a seeded instance to CSV + metadata")
-    dims_args(p)
-    p.add_argument("--a", type=float, help="elevated mean on the planted block")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rows", help="comma-separated planted row indices (default 0..n-1)")
-    p.add_argument("--cols", help="comma-separated planted column indices (default 0..m-1)")
-    p.add_argument("--meta", help="metadata path (default <out>.meta.json)")
-
-    p = sub.add_parser("select", parents=[common], help="run a selector on a matrix file")
-    p.add_argument("--matrix", help="matrix CSV path")
-    p.add_argument("--meta", help="metadata path (default <matrix>.meta.json)")
-    p.add_argument("--n", type=int, help="override submatrix rows from metadata")
-    p.add_argument("--m", type=int, help="override submatrix columns from metadata")
-    p.add_argument("--method", choices=["exact", "heuristic", "brute-force"])
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("classify", parents=[common], help="selection/detection regime of an instance")
-    dims_args(p)
-    p.add_argument("--a", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--det-large", dest="det_large", type=float)
-    p.add_argument("--det-small", dest="det_small", type=float)
-
-    p = sub.add_parser("calibrate", parents=[common], help="estimate null critical values")
-    dims_args(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["exact", "heuristic"])
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("detect", parents=[common], help="test a matrix file against a calibration")
-    p.add_argument("--matrix", help="matrix CSV path")
-    p.add_argument("--meta", help="metadata path (default <matrix>.meta.json)")
-    p.add_argument("--calibration", help="calibration JSON from the calibrate verb")
-
-    p = sub.add_parser("risk", parents=[common], help="Monte Carlo selection risk at one signal level")
-    dims_args(p)
-    p.add_argument("--a", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["exact", "heuristic", "brute-force"])
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("sweep", parents=[common], help="risk curve over multiples of the critical level")
-    dims_args(p)
-    p.add_argument("--mult", help="comma-separated multipliers of a_star, ascending")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["exact", "heuristic", "brute-force"])
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--csv", help="also write the grid as a flat CSV table")
-
-    p = sub.add_parser("vector-risk", parents=[common], help="selection risk in the vector case")
-    p.add_argument("--N", type=int, help="vector length")
-    p.add_argument("--n", type=int, help="number of elevated coordinates")
-    p.add_argument("--a", type=float, help="signal level")
-    p.add_argument("--mult", type=float, help="signal level as a multiple of the vector critical value")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("maxgauss", parents=[common], help="P(max of J gaussians >= t*sqrt(2 log J))")
-    p.add_argument("--J", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    sub.add_parser("selftest", parents=[common], help="run reduced-scale oracle and invariance suites")
+    for name, (help_text, _, options) in VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != verb:
+            continue
+        p.add_argument("--config", help="JSON file of this verb's option values; flags override it")
+        p.add_argument("--threads", type=int, help="worker thread cap (results do not depend on it)")
+        for key, opt in options.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.kind.convert,
+                           choices=opt.kind.choices, help=opt.help)
     return parser
+
+
+def _read_config(path, verb: str) -> dict:
+    try:
+        values = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ValidationError(f"config file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"unreadable config file {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(values) - set(VERBS[verb][2]))
+    if unknown:
+        raise ValidationError(f"unknown config file keys for {verb}: {', '.join(unknown)}")
+    return values
+
+
+def _dims(opts: dict) -> Dims:
+    return Dims(*(opts[key] for key in _DIMS))
 
 
 def parse_args(argv) -> RunConfig:
     """Resolve defaults <- config file <- flags, then validate; raises
     ValidationError listing every violated constraint."""
-    args = _build_parser().parse_args(argv)
-    verb = args.verb
-    resolved = dict(_DEFAULTS.get(verb, {}))
+    argv = list(argv)
+    args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+    verb, config, threads = args.pop("verb"), args.pop("config"), args.pop("threads")
+    options = VERBS[verb][2]
+    resolved = {key: opt.default for key, opt in options.items() if opt.default is not REQUIRED}
+    if config:
+        resolved.update(_read_config(config, verb))
+    resolved.update((key, value) for key, value in args.items() if value is not None)
 
-    if getattr(args, "config", None):
+    problems = {}
+    for key, opt in options.items():
+        value = resolved.get(key)
+        if value is None and opt.default is REQUIRED:
+            problems[key] = f"--{key} is required"
+        elif value is not None and not opt.kind.accepts(value):
+            problems[key] = f"--{key} must be {opt.kind.what}, got {value!r}"
+    if _DIMS.keys() <= options.keys() - problems.keys():
         try:
-            file_values = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise ValidationError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"unreadable config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ValidationError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_values) - _KNOWN_OPTION_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown config file keys: {', '.join(unknown)}")
-        resolved.update(file_values)
-
-    for key, value in vars(args).items():
-        if key in ("verb", "config", "threads") or value is None:
-            continue
-        resolved[key] = value
-
-    _validate(verb, resolved)
-    return RunConfig(verb=verb, options=resolved, threads=args.threads)
-
-
-def _validate(verb: str, opts: dict) -> None:
-    problems = []
-    needs_dims = verb in ("generate", "classify", "calibrate", "risk", "sweep")
-    if needs_dims:
-        for key in ("N", "M", "n", "m"):
-            if opts.get(key) is None:
-                problems.append(f"--{key} is required")
-        if not problems:
-            N, M, n, m = opts["N"], opts["M"], opts["n"], opts["m"]
-            if min(N, M, n, m) < 1:
-                problems.append("dimensions must be positive")
-            if n > N:
-                problems.append(f"need n <= N, got n={n} > N={N}")
-            if m > M:
-                problems.append(f"need m <= M, got m={m} > M={M}")
-    if verb in ("generate", "classify", "risk") and opts.get("a") is None:
-        problems.append("--a is required")
-    if verb in ("select", "detect") and not opts.get("matrix"):
-        problems.append("--matrix is required")
-    if verb == "detect" and not opts.get("calibration"):
-        problems.append("--calibration is required")
-    if verb == "sweep":
-        if not opts.get("mult"):
-            problems.append("--mult is required")
-        else:
-            try:
-                _float_list(opts["mult"])
-            except ValidationError as exc:
-                problems.append(str(exc))
-    if verb == "generate":
-        for key in ("rows", "cols"):
-            if opts.get(key) is not None:
-                try:
-                    _int_list(opts[key])
-                except ValidationError as exc:
-                    problems.append(str(exc))
-    if verb == "vector-risk":
-        for key in ("N", "n"):
-            if opts.get(key) is None:
-                problems.append(f"--{key} is required")
-        if opts.get("a") is None and opts.get("mult") is None:
-            problems.append("one of --a / --mult is required")
-    if verb == "maxgauss":
-        for key in ("J", "t"):
-            if opts.get(key) is None:
-                problems.append(f"--{key} is required")
-    for key in ("trials", "restarts", "budget"):
-        value = opts.get(key)
-        if value is not None and int(value) < 1:
-            problems.append(f"--{key} must be >= 1, got {value}")
+            _dims(resolved)
+        except ValidationError as exc:
+            problems["dims"] = str(exc)
+    if verb == "vector-risk" and resolved["a"] is None and resolved["mult"] is None:
+        problems["a"] = "one of --a / --mult is required"
+    if threads is not None and threads < 1:
+        problems["threads"] = f"--threads must be >= 1, got {threads}"
     if problems:
-        raise ValidationError("; ".join(problems))
-
-
-def _payload(config: RunConfig, result: dict) -> dict:
-    return {
-        "tool": "subscan",
-        "version": __version__,
-        "verb": config.verb,
-        "config": {k: v for k, v in sorted(config.options.items())},
-        "result": result,
-    }
+        raise ValidationError("; ".join(problems.values()))
+    return RunConfig(verb=verb, options=resolved, threads=threads)
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -330,280 +222,186 @@ def _emit(payload: dict, out_path) -> None:
         print(text)
 
 
-def _method_name(opt: str) -> str:
-    return opt.replace("-", "_")
-
-
 def _load_calibration(path) -> detection.DetectionCalibration:
     raw = json.loads(Path(path).read_text())
-    data = raw.get("result", raw)
-    dims = data["dims"]
-    return detection.DetectionCalibration(
-        alpha=data["alpha"],
-        scan_crit=data["scan_crit"],
-        linear_crit=data["linear_crit"],
-        trials=data["trials"],
-        dims=Dims(dims["N"], dims["M"], dims["n"], dims["m"]),
-        seed=data["seed"],
-        method=data["method"],
-        restarts=data["restarts"],
+    try:
+        data = raw.get("result", raw)
+        values = {f.name: data[f.name] for f in fields(detection.DetectionCalibration)}
+        return detection.DetectionCalibration(**dict(values, dims=Dims(**values["dims"])))
+    except (AttributeError, TypeError) as exc:
+        raise ValidationError(f"malformed calibration file {path}: {exc}") from exc
+
+
+def _generate(opts, threads) -> dict:
+    dims = _dims(opts)
+    rows = range(dims.n) if opts["rows"] is None else _numbers(opts["rows"], int)
+    cols = range(dims.m) if opts["cols"] is None else _numbers(opts["cols"], int)
+    support = make_support(dims, rows, cols)
+    obs = generate(dims, support, SignalSpec(opts["a"]), opts["seed"])
+    meta_path = save_matrix(obs, opts["out"], support, opts["a"], opts["seed"], opts["meta"])
+    return {
+        "matrix": str(opts["out"]),
+        "meta": str(meta_path),
+        "support": support.to_dict(),
+        "a": opts["a"],
+        "seed": opts["seed"],
+    }
+
+
+def _select(opts, threads) -> dict:
+    obs, meta = load_matrix(opts["matrix"], opts["meta"])
+    n = opts["n"] if opts["n"] is not None else meta["n"]
+    m = opts["m"] if opts["m"] is not None else meta["m"]
+    started = time.perf_counter()
+    res = scan(obs, n, m, opts["method"], restarts=opts["restarts"], seed=opts["seed"],
+               budget=opts["budget"], workers=threads)
+    return dict(res.to_dict(), seconds=time.perf_counter() - started)
+
+
+def _classify(opts, threads) -> dict:
+    dims = _dims(opts)
+    label = classify(dims, opts["a"], margin=opts["margin"],
+                     det_large=opts["det_large"], det_small=opts["det_small"])
+    return dict(label.to_dict(), thresholds=compute(dims, opts["a"]).to_dict())
+
+
+def _calibrate(opts, threads) -> dict:
+    return detection.calibrate(
+        _dims(opts), opts["alpha"], opts["trials"], opts["seed"], method=opts["method"],
+        restarts=opts["restarts"], budget=opts["budget"], workers=threads,
+    ).to_dict()
+
+
+def _detect(opts, threads) -> dict:
+    obs, _ = load_matrix(opts["matrix"], opts["meta"])
+    calib = _load_calibration(opts["calibration"])
+    res = detection.detect(obs, calib, workers=threads)
+    thresholds = {"linear_crit": calib.linear_crit, "scan_crit": calib.scan_crit}
+    return dict(res.to_dict(), thresholds=thresholds)
+
+
+def _risk(opts, threads) -> dict:
+    return estimate_risk(
+        _dims(opts), opts["a"], opts["trials"], opts["seed"], selector_method=opts["method"],
+        restarts=opts["restarts"], budget=opts["budget"], workers=threads,
+    ).to_dict()
+
+
+def _sweep(opts, threads) -> dict:
+    result = sweep(
+        _dims(opts), _numbers(opts["mult"], float), opts["trials"], opts["seed"],
+        selector_method=opts["method"], restarts=opts["restarts"], budget=opts["budget"],
+        workers=threads,
     )
+    if opts["csv"]:
+        Path(opts["csv"]).write_text("\n".join(result.csv_rows()) + "\n")
+    return result.to_dict()
+
+
+def _vector_risk(opts, threads) -> dict:
+    a = opts["a"]
+    if a is None:
+        a = opts["mult"] * vector_critical_value(opts["N"], opts["n"])
+    est = vector_risk(opts["N"], opts["n"], a, opts["trials"], opts["seed"], workers=threads)
+    return dict(est.to_dict(), vector_critical=vector_critical_value(opts["N"], opts["n"]))
+
+
+def _maxgauss(opts, threads) -> dict:
+    prob = max_gauss_exceedance(opts["J"], opts["t"], opts["trials"], opts["seed"], workers=threads)
+    return {"probability": prob}
+
+
+# verb -> (help, handler, {option name -> Option}); an option's name is its
+# config key, and its flag is the name with "-" for "_"
+VERBS = {
+    "generate": ("write a seeded instance to CSV + metadata", _generate, {
+        **_DIMS,
+        "a": Option(FLOAT, REQUIRED, "elevated mean on the planted block"),
+        "seed": Option(INT, 0),
+        "rows": Option(INTS, None, "comma-separated planted row indices (default 0..n-1)"),
+        "cols": Option(INTS, None, "comma-separated planted column indices (default 0..m-1)"),
+        "meta": Option(TEXT, None, "metadata path (default <out>.meta.json)"),
+        "out": Option(TEXT, "matrix.csv", "matrix CSV path"),
+    }),
+    "select": ("run a selector on a matrix file", _select, {
+        "matrix": Option(TEXT, REQUIRED, "matrix CSV path"),
+        "meta": Option(TEXT, None, "metadata path (default <matrix>.meta.json)"),
+        "n": Option(INT, None, "override submatrix rows from metadata"),
+        "m": Option(INT, None, "override submatrix columns from metadata"),
+        **_scan_options("exact", 20),
+        **_OUT,
+    }),
+    "classify": ("selection/detection regime of an instance", _classify, {
+        **_DIMS,
+        "a": Option(FLOAT, REQUIRED),
+        "margin": Option(FLOAT, DEFAULT_MARGIN),
+        "det_large": Option(FLOAT, DEFAULT_DET_LARGE),
+        "det_small": Option(FLOAT, DEFAULT_DET_SMALL),
+        **_OUT,
+    }),
+    "calibrate": ("estimate null critical values", _calibrate, {
+        **_DIMS,
+        "alpha": Option(FLOAT, 0.05),
+        "trials": Option(COUNT, 2000),
+        **_scan_options("heuristic", 10),
+        "out": Option(TEXT, "calibration.json", "output JSON path"),
+    }),
+    "detect": ("test a matrix file against a calibration", _detect, {
+        "matrix": Option(TEXT, REQUIRED, "matrix CSV path"),
+        "meta": Option(TEXT, None, "metadata path (default <matrix>.meta.json)"),
+        "calibration": Option(TEXT, REQUIRED, "calibration JSON from the calibrate verb"),
+        **_OUT,
+    }),
+    "risk": ("Monte Carlo selection risk at one signal level", _risk, {
+        **_DIMS,
+        "a": Option(FLOAT, REQUIRED),
+        "trials": Option(COUNT, 200),
+        **_scan_options("exact", 20),
+        **_OUT,
+    }),
+    "sweep": ("risk curve over multiples of the critical level", _sweep, {
+        **_DIMS,
+        "mult": Option(FLOATS, REQUIRED, "comma-separated multipliers of a_star, ascending"),
+        "trials": Option(COUNT, 200),
+        **_scan_options("heuristic", 20),
+        **_OUT,
+        "csv": Option(TEXT, None, "also write the grid as a flat CSV table"),
+    }),
+    "vector-risk": ("selection risk in the vector case", _vector_risk, {
+        "N": Option(INT, REQUIRED, "vector length"),
+        "n": Option(INT, REQUIRED, "number of elevated coordinates"),
+        "a": Option(FLOAT, None, "signal level"),
+        "mult": Option(FLOAT, None, "signal level as a multiple of the vector critical value"),
+        "trials": Option(COUNT, 200),
+        "seed": Option(INT, 0),
+        **_OUT,
+    }),
+    "maxgauss": ("P(max of J gaussians >= t*sqrt(2 log J))", _maxgauss, {
+        "J": Option(INT, REQUIRED),
+        "t": Option(FLOAT, REQUIRED),
+        "trials": Option(COUNT, 400),
+        "seed": Option(INT, 0),
+        **_OUT,
+    }),
+    "selftest": ("run reduced-scale oracle and invariance suites", None, {}),
+}
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved RunConfig; returns the process exit code."""
-    opts = config.options
-    verb = config.verb
-    threads = config.threads
-
-    if verb == "selftest":
-        return _selftest()
-
-    if verb == "generate":
-        dims = Dims(opts["N"], opts["M"], opts["n"], opts["m"])
-        if opts.get("rows") is not None or opts.get("cols") is not None:
-            rows = _int_list(opts["rows"]) if opts.get("rows") is not None else list(range(dims.n))
-            cols = _int_list(opts["cols"]) if opts.get("cols") is not None else list(range(dims.m))
-            support = make_support(dims, rows, cols)
-        else:
-            support = canonical_support(dims)
-        obs = generate(dims, support, SignalSpec(opts["a"]), opts["seed"])
-        meta_path = save_matrix(obs, opts["out"], support, opts["a"], opts["seed"], opts.get("meta"))
-        result = {
-            "matrix": str(opts["out"]),
-            "meta": str(meta_path),
-            "support": support.to_dict(),
-            "a": opts["a"],
-            "seed": opts["seed"],
-        }
-        _emit(_payload(config, result), None)
-        return EXIT_OK
-
-    if verb == "select":
-        obs, meta = load_matrix(opts["matrix"], opts.get("meta"))
-        n = opts["n"] if opts.get("n") is not None else meta["n"]
-        m = opts["m"] if opts.get("m") is not None else meta["m"]
-        method = _method_name(opts["method"])
-        started = time.perf_counter()
-        if method == "exact":
-            res = scan_exact(obs, n, m, budget=opts["budget"], workers=threads)
-        elif method == "heuristic":
-            res = scan_heuristic(obs, n, m, restarts=opts["restarts"], seed=opts["seed"])
-        else:
-            res = scan_brute_force(obs, n, m)
-        elapsed = time.perf_counter() - started
-        result = dict(res.to_dict(), seconds=elapsed)
-        _emit(_payload(config, result), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "classify":
-        dims = Dims(opts["N"], opts["M"], opts["n"], opts["m"])
-        label = classify(
-            dims, opts["a"], margin=opts["margin"],
-            det_large=opts["det_large"], det_small=opts["det_small"],
-        )
-        result = dict(label.to_dict(), thresholds=compute(dims, opts["a"]).to_dict())
-        _emit(_payload(config, result), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "calibrate":
-        dims = Dims(opts["N"], opts["M"], opts["n"], opts["m"])
-        calib = detection.calibrate(
-            dims, opts["alpha"], opts["trials"], opts["seed"],
-            method=opts["method"], restarts=opts["restarts"],
-            budget=opts["budget"], workers=threads,
-        )
-        _emit(_payload(config, calib.to_dict()), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "detect":
-        obs, _ = load_matrix(opts["matrix"], opts.get("meta"))
-        calib = _load_calibration(opts["calibration"])
-        res = detection.detect(obs, calib, workers=threads)
-        result = dict(
-            res.to_dict(),
-            thresholds={"linear_crit": calib.linear_crit, "scan_crit": calib.scan_crit},
-        )
-        _emit(_payload(config, result), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "risk":
-        dims = Dims(opts["N"], opts["M"], opts["n"], opts["m"])
-        est = estimate_risk(
-            dims, opts["a"], opts["trials"], opts["seed"],
-            selector_method=_method_name(opts["method"]),
-            restarts=opts["restarts"], budget=opts["budget"], workers=threads,
-        )
-        _emit(_payload(config, est.to_dict()), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "sweep":
-        dims = Dims(opts["N"], opts["M"], opts["n"], opts["m"])
-        result = sweep(
-            dims, _float_list(opts["mult"]), opts["trials"], opts["seed"],
-            selector_method=_method_name(opts["method"]),
-            restarts=opts["restarts"], budget=opts["budget"], workers=threads,
-        )
-        if opts.get("csv"):
-            Path(opts["csv"]).write_text("\n".join(result.csv_rows()) + "\n")
-        _emit(_payload(config, result.to_dict()), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "vector-risk":
-        a = opts["a"]
-        if a is None:
-            a = opts["mult"] * vector_critical_value(opts["N"], opts["n"])
-        est = vector_risk(opts["N"], opts["n"], a, opts["trials"], opts["seed"], workers=threads)
-        result = dict(est.to_dict(), vector_critical=vector_critical_value(opts["N"], opts["n"]))
-        _emit(_payload(config, result), opts.get("out"))
-        return EXIT_OK
-
-    if verb == "maxgauss":
-        prob = max_gauss_exceedance(opts["J"], opts["t"], opts["trials"], opts["seed"], workers=threads)
-        _emit(_payload(config, {"probability": prob}), opts.get("out"))
-        return EXIT_OK
-
-    raise ValidationError(f"unknown verb {verb!r}")
-
-
-# ---------------------------------------------------------------------------
-# selftest: reduced-scale oracle and invariance checks
-
-
-def _random_instances(count, seed, max_dim=7):
-    rng = gaussian_stream(seed)
-    for _ in range(count):
-        N = int(rng.integers(3, max_dim + 1))
-        M = int(rng.integers(3, max_dim + 1))
-        n = int(rng.integers(1, min(3, N) + 1))
-        m = int(rng.integers(1, min(3, M) + 1))
-        Y = rng.standard_normal((N, M))
-        yield Observation(Y, Dims(N, M, n, m)), n, m
-
-
-def _st_oracle() -> bool:
-    for obs, n, m in _random_instances(40, 101):
-        a = scan_exact(obs, n, m)
-        b = scan_brute_force(obs, n, m)
-        if a.support != b.support or a.objective != b.objective:
-            return False
-    return True
-
-
-def _st_decomposition() -> bool:
-    rng = gaussian_stream(102)
-    for _ in range(12):
-        Y = rng.standard_normal((5, 5))
-        for size in range(1, 6):
-            for rows in itertools.combinations(range(5), size):
-                colsum = Y[list(rows)].sum(axis=0)
-                for m in range(1, 6):
-                    best = max(
-                        sum(colsum[list(cols)]) for cols in itertools.combinations(range(5), m)
-                    )
-                    top = np.sort(colsum)[5 - m:].sum()
-                    if not np.isclose(best, top, rtol=0, atol=1e-12):
-                        return False
-    return True
-
-
-def _st_shift_scale() -> tuple[bool, bool]:
-    shift_ok = scale_ok = True
-    for obs, n, m in _random_instances(25, 103):
-        base = scan_exact(obs, n, m)
-        shifted = Observation(obs.data + 3.25, obs.dims)
-        scaled = Observation(obs.data * 7.5, obs.dims)
-        shift_ok &= scan_exact(shifted, n, m).support == base.support
-        scale_ok &= scan_exact(scaled, n, m).support == base.support
-    return shift_ok, scale_ok
-
-
-def _st_permutation() -> bool:
-    rng = gaussian_stream(104)
-    for obs, n, m in _random_instances(25, 105):
-        base = scan_exact(obs, n, m)
-        N, M = obs.dims.shape
-        sigma = rng.permutation(N)
-        tau = rng.permutation(M)
-        permuted = Observation(obs.data[np.ix_(sigma, tau)], obs.dims)
-        res = scan_exact(permuted, n, m)
-        rows = tuple(sorted(int(np.flatnonzero(sigma == r)[0]) for r in base.support.rows))
-        cols = tuple(sorted(int(np.flatnonzero(tau == c)[0]) for c in base.support.cols))
-        if (res.support.rows, res.support.cols) != (rows, cols):
-            return False
-    return True
-
-
-def _st_thresholds() -> bool:
-    for (N, M, n, m) in ((1000, 1000, 10, 10), (60, 60, 6, 6), (50, 40, 5, 3)):
-        dims = Dims(N, M, n, m)
-        for a in (0.25, 1.0, 3.0):
-            th = compute(dims, a)
-            if th.B != min(th.A1, th.A2, th.A):
-                return False
-        a_star = critical_value(dims)
-        if abs(compute(dims, a_star).B - 1.0) > 1e-12:
-            return False
-        sw = compute(Dims(M, N, m, n), 1.0)
-        th = compute(dims, 1.0)
-        if sw.A1 != th.A2 or sw.A2 != th.A1 or sw.A != th.A:
-            return False
-    return True
-
-
-def _st_wilson() -> bool:
-    z = 1.959963984540054
-    for trials in (50, 200):
-        low, high = wilson_interval(0, trials)
-        if low != 0.0 or abs(high - z * z / (trials + z * z)) > 1e-12:
-            return False
-        low, high = wilson_interval(trials, trials)
-        if high != 1.0 or abs(low - trials / (trials + z * z)) > 1e-12:
-            return False
-    return True
-
-
-def _st_workers() -> bool:
-    dims = Dims(20, 20, 3, 3)
-    one = estimate_risk(dims, 2.0, 12, 7, selector_method="heuristic", restarts=5, workers=1)
-    many = estimate_risk(dims, 2.0, 12, 7, selector_method="heuristic", restarts=5, workers=3)
-    return one == many
-
-
-def _st_likelihood() -> bool:
-    for obs, n, m in _random_instances(10, 106, max_dim=5):
-        best = scan_exact(obs, n, m)
-        N, M = obs.dims.shape
-        supports = [
-            make_support(Dims(N, M, n, m), rows, cols)
-            for rows in itertools.combinations(range(N), n)
-            for cols in itertools.combinations(range(M), m)
-        ]
-        loglrs = [log_lr(obs, s, 1.5) for s in supports]
-        if supports[int(np.argmin(loglrs))] != best.support:
-            return False
-    return True
-
-
-def _selftest() -> int:
-    shift_ok, scale_ok = _st_shift_scale()
-    checks = [
-        ("exact scan matches brute force", _st_oracle()),
-        ("top-m column reduction equals exhaustive column search", _st_decomposition()),
-        ("shift invariance of the selected support", shift_ok),
-        ("scale invariance of the selected support", scale_ok),
-        ("permutation equivariance of the selected support", _st_permutation()),
-        ("threshold identities (min-composition, B(a*)=1, symmetry)", _st_thresholds()),
-        ("wilson interval endpoints", _st_wilson()),
-        ("worker-count determinism of risk estimates", _st_workers()),
-        ("scan maximizer equals likelihood maximizer", _st_likelihood()),
-    ]
-    failed = 0
-    for name, ok in checks:
-        print(f"{'ok' if ok else 'FAIL'} - {name}")
-        failed += not ok
-    print(f"{len(checks) - failed}/{len(checks)} properties passed")
-    return EXIT_OK if failed == 0 else EXIT_SELFTEST
+    if config.verb == "selftest":
+        return EXIT_OK if selftest.run() else EXIT_SELFTEST
+    result = VERBS[config.verb][1](config.options, config.threads)
+    payload = {
+        "tool": "subscan",
+        "version": __version__,
+        "verb": config.verb,
+        "config": dict(sorted(config.options.items())),
+        "result": result,
+    }
+    # generate's --out names the matrix file; its payload goes to stdout
+    _emit(payload, None if config.verb == "generate" else config.options["out"])
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ a small JSON file recording dims, support, signal level and seed.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,7 @@ def save_matrix(
     meta_path = Path(meta_path) if meta_path is not None else default_meta_path(matrix_path)
     np.savetxt(matrix_path, obs.data, fmt=_FMT, delimiter=",")
     meta = {
-        "N": obs.dims.N,
-        "M": obs.dims.M,
-        "n": obs.dims.n,
-        "m": obs.dims.m,
+        **asdict(obs.dims),
         "rows": list(support.rows) if support is not None else None,
         "cols": list(support.cols) if support is not None else None,
         "a": a,

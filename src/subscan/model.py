@@ -8,7 +8,7 @@ of (dims, support, signal, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,15 +33,18 @@ class Dims:
     m: int
 
     def __post_init__(self):
+        problems = []
         for name in ("N", "M", "n", "m"):
             v = _as_index(getattr(self, name), name)
             if v < 1:
-                raise ValidationError(f"{name} must be >= 1, got {v}")
+                problems.append(f"{name} must be >= 1, got {v}")
             object.__setattr__(self, name, v)
         if self.n > self.N:
-            raise ValidationError(f"need n <= N, got n={self.n} > N={self.N}")
+            problems.append(f"need n <= N, got n={self.n} > N={self.N}")
         if self.m > self.M:
-            raise ValidationError(f"need m <= M, got m={self.m} > M={self.M}")
+            problems.append(f"need m <= M, got m={self.m} > M={self.M}")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def p(self) -> float:
@@ -71,8 +74,7 @@ class Support:
         c = len(set(self.cols) & set(other.cols))
         return r * c
 
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows), "cols": list(self.cols)}
+    to_dict = asdict
 
 
 def _canonical_axis(ids: Sequence[int], count: int, limit: int, axis: str) -> tuple[int, ...]:

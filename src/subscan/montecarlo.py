@@ -15,25 +15,18 @@ reported as a diagnostic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
 from .model import Dims, SignalSpec, Support, canonical_support, generate
 from .parallel import map_indexed
-from .selector import (
-    EXACT_ENUMERATION_BUDGET,
-    scan_brute_force,
-    scan_exact,
-    scan_heuristic,
-    vector_select,
-)
+from .selector import EXACT_ENUMERATION_BUDGET, scan, vector_select
+from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
 from .streams import derive_seed, gaussian_stream
 from .thresholds import critical_value
 
 _NOISE_TAG = 0
 _SELECT_TAG = 1
-
-SELECTOR_METHODS = ("exact", "heuristic", "brute_force")
 
 # the exact float64 of scipy.stats.norm.ppf(0.975); statistics.NormalDist
 # gives 1.9599639845400536, one ulp off, which would move every interval
@@ -53,19 +46,7 @@ class RiskEstimate:
     a: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": self.failures,
-            "risk": self.risk,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "mean_overlap": self.mean_overlap,
-            "selector_method": self.selector_method,
-            "dims": {"N": self.dims.N, "M": self.dims.M, "n": self.dims.n, "m": self.dims.m},
-            "a": self.a,
-            "seed": self.seed,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -78,7 +59,7 @@ class SweepResult:
     def to_dict(self) -> dict:
         return {
             "a_star_used": self.a_star_used,
-            "dims": {"N": self.dims.N, "M": self.dims.M, "n": self.dims.n, "m": self.dims.m},
+            "dims": asdict(self.dims),
             "grid": [
                 {"multiplier": mult, "a": a, **est.to_dict()}
                 for mult, (a, est) in zip(self.multipliers, self.grid)
@@ -113,14 +94,15 @@ def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float,
     return low, high
 
 
-def _run_selector(obs, n, m, method, restarts, seed, budget, workers):
-    if method == "exact":
-        return scan_exact(obs, n, m, budget=budget, workers=workers)
-    if method == "heuristic":
-        return scan_heuristic(obs, n, m, restarts=restarts, seed=seed)
-    if method == "brute_force":
-        return scan_brute_force(obs, n, m)
-    raise ValidationError(f"selector_method must be one of {SELECTOR_METHODS}, got {method!r}")
+def _risk_estimate(outcomes, selector_method, dims, a, seed) -> RiskEstimate:
+    """Aggregate per-trial (missed, overlap fraction) pairs, in trial order."""
+    trials = len(outcomes)
+    failures = sum(1 for missed, _ in outcomes if missed)
+    low, high = wilson_interval(failures, trials)  # rejects trials < 1
+    mean_overlap = math.fsum(ov for _, ov in outcomes) / trials
+    return RiskEstimate(
+        trials, failures, failures / trials, low, high, mean_overlap, selector_method, dims, a, seed
+    )
 
 
 def estimate_risk(
@@ -140,12 +122,6 @@ def estimate_risk(
     another one is only useful for checking that the estimate is invariant to
     the block's location.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if selector_method not in SELECTOR_METHODS:
-        raise ValidationError(
-            f"selector_method must be one of {SELECTOR_METHODS}, got {selector_method!r}"
-        )
     planted = support if support is not None else canonical_support(dims)
     signal = SignalSpec(a)
     nm = dims.n * dims.m
@@ -153,30 +129,16 @@ def estimate_risk(
     def one_trial(t: int) -> tuple[bool, float]:
         obs = generate(dims, planted, signal, derive_seed(seed, (_NOISE_TAG, t)))
         # trials parallelize; the selector inside each trial stays serial
-        res = _run_selector(
-            obs, dims.n, dims.m, selector_method, restarts,
-            derive_seed(seed, (_SELECT_TAG, t)), budget, 1,
+        res = scan(
+            obs, dims.n, dims.m, selector_method, restarts=restarts,
+            seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget, workers=1,
         )
         return res.support != planted, res.support.overlap(planted) / nm
 
     # only the exact scan's large gathers release the GIL for long enough to
-    # pay for a thread; heuristic and brute-force trials run faster serially
+    # pay for a thread; heuristic trials run faster serially
     outcomes = map_indexed(one_trial, trials, workers if selector_method == "exact" else 1)
-    failures = sum(1 for missed, _ in outcomes if missed)
-    mean_overlap = math.fsum(ov for _, ov in outcomes) / trials
-    low, high = wilson_interval(failures, trials)
-    return RiskEstimate(
-        trials=trials,
-        failures=failures,
-        risk=failures / trials,
-        ci_low=low,
-        ci_high=high,
-        mean_overlap=mean_overlap,
-        selector_method=selector_method,
-        dims=dims,
-        a=a,
-        seed=seed,
-    )
+    return _risk_estimate(outcomes, selector_method, dims, a, seed)
 
 
 def sweep(
@@ -224,8 +186,6 @@ def vector_risk(
     with n coordinates elevated by a."""
     if n < 2 or n >= N:
         raise ValidationError(f"vector case needs 2 <= n < N, got n={n}, N={N}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
     planted = list(range(n))
 
     def one_trial(t: int) -> tuple[bool, float]:
@@ -236,21 +196,7 @@ def vector_risk(
         return picked != planted, overlap
 
     outcomes = map_indexed(one_trial, trials, workers)
-    failures = sum(1 for missed, _ in outcomes if missed)
-    mean_overlap = math.fsum(ov for _, ov in outcomes) / trials
-    low, high = wilson_interval(failures, trials)
-    return RiskEstimate(
-        trials=trials,
-        failures=failures,
-        risk=failures / trials,
-        ci_low=low,
-        ci_high=high,
-        mean_overlap=mean_overlap,
-        selector_method="vector",
-        dims=Dims(N, 1, n, 1),
-        a=a,
-        seed=seed,
-    )
+    return _risk_estimate(outcomes, "vector", Dims(N, 1, n, 1), a, seed)
 
 
 def max_gauss_exceedance(J: int, t: float, trials: int, seed: int,

@@ -12,9 +12,8 @@ the GIL:
 * `vector_risk` and `max_gauss_exceedance`, whose trials are each one long
   Gaussian draw.
 
-A heuristic or brute-force trial is a loop of small array calls that holds
-the GIL most of the time, so those trials run serially whatever worker count
-is asked for.
+A heuristic trial is a loop of small array calls that holds the GIL most of
+the time, so those trials run serially whatever worker count is asked for.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
+
+from .errors import ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -35,9 +36,11 @@ def resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValidationError(f"{ENV_THREADS} must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def map_indexed(fn: Callable[[int], R], count: int, workers: int | None = None) -> list[R]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .streams import gaussian_stream
 EXACT_ENUMERATION_BUDGET = 10_000_000
 BRUTE_FORCE_BUDGET = 1_000_000
 MAX_ALTERNATIONS = 1000
+METHODS = ("exact", "heuristic")
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,7 @@ class SelectorResult:
     iterations: int = 0
     restarts_used: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "support": self.support.to_dict(),
-            "objective": self.objective,
-            "method": self.method,
-            "iterations": self.iterations,
-            "restarts_used": self.restarts_used,
-        }
+    to_dict = asdict
 
 
 def top_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -252,6 +246,27 @@ def scan_heuristic(
         Support(best_rows, best_cols), objective, "heuristic",
         iterations=int(cycles[best_r]), restarts_used=restarts,
     )
+
+
+def scan(
+    obs: Observation,
+    n: int,
+    m: int,
+    method: str = "exact",
+    *,
+    restarts: int = 20,
+    seed: int = 0,
+    budget: int = EXACT_ENUMERATION_BUDGET,
+    workers: int | None = None,
+) -> SelectorResult:
+    """Run the scan named by `method` (one of METHODS); each scan ignores the
+    options that do not apply to it."""
+    # the scans are looked up when called, so a rebound module attribute is used
+    if method == "exact":
+        return scan_exact(obs, n, m, budget=budget, workers=workers)
+    if method == "heuristic":
+        return scan_heuristic(obs, n, m, restarts=restarts, seed=seed)
+    raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def vector_select(x, n: int) -> list[int]:

@@ -25,7 +25,7 @@ closed forms are calibrated for growing n, m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ValidationError
 from .model import Dims
@@ -44,15 +44,7 @@ class Thresholds:
     a_star: float
     det_quantity: float
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "A1": self.A1,
-            "A2": self.A2,
-            "B": self.B,
-            "a_star": self.a_star,
-            "det_quantity": self.det_quantity,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -64,8 +56,7 @@ class RegimeLabel:
     detection: str
     basis: dict
 
-    def to_dict(self) -> dict:
-        return {"selection": self.selection, "detection": self.detection, "basis": self.basis}
+    to_dict = asdict
 
 
 def _edge_critical(k_self: int, K_self: int, k_other: int) -> float:
@@ -173,12 +164,7 @@ def classify(
     basis = {
         "a": a,
         "margin": margin,
-        "A": th.A,
-        "A1": th.A1,
-        "A2": th.A2,
-        "B": th.B,
-        "a_star": th.a_star,
-        "det_quantity": th.det_quantity,
+        **th.to_dict(),
         "det_large_cutoff": det_large,
         "det_small_cutoff": det_small,
         "det_cutoffs_heuristic": True,

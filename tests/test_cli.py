@@ -14,6 +14,9 @@ from subscan.cli import (
 )
 from subscan.errors import ValidationError
 
+VERBS = ["generate", "select", "classify", "calibrate", "detect", "risk", "sweep",
+         "vector-risk", "maxgauss", "selftest"]
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -280,3 +283,175 @@ def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body):
     payload = json.loads(err)
     assert payload["error"] == "validation"
     assert str(matrix) in payload["detail"]
+
+
+# --- the CLI contract: resolved options per argv, pinned with ==
+
+_D = "--N 10 --M 12 --n 2 --m 3"
+_DIMS = dict(N=10, M=12, n=2, m=3)
+_BUDGET = 10_000_000
+
+PINNED_OPTIONS = [
+    (f"generate {_D} --a 1.5",
+     dict(_DIMS, a=1.5, seed=0, rows=None, cols=None, meta=None, out="matrix.csv")),
+    (f"generate {_D} --a 1 --seed 4 --rows 1,3 --cols 0,5,7 --meta x.json --out m.csv --threads 2",
+     dict(_DIMS, a=1.0, seed=4, rows="1,3", cols="0,5,7", meta="x.json", out="m.csv")),
+    ("select --matrix m.csv",
+     dict(matrix="m.csv", meta=None, n=None, m=None, method="exact", restarts=20, seed=0,
+          budget=_BUDGET, out=None)),
+    ("select --matrix m.csv --meta m.json --n 2 --m 2 --method heuristic --restarts 5 --seed 3"
+     " --budget 100 --out s.json --threads 2",
+     dict(matrix="m.csv", meta="m.json", n=2, m=2, method="heuristic", restarts=5, seed=3,
+          budget=100, out="s.json")),
+    (f"classify {_D} --a 1",
+     dict(_DIMS, a=1.0, margin=0.05, det_large=3.0, det_small=0.1, out=None)),
+    (f"classify {_D} --a 0.5 --margin 0.1 --det-large 4 --det-small 0.2 --out c.json",
+     dict(_DIMS, a=0.5, margin=0.1, det_large=4.0, det_small=0.2, out="c.json")),
+    (f"calibrate {_D}",
+     dict(_DIMS, alpha=0.05, trials=2000, seed=0, method="heuristic", restarts=10,
+          budget=_BUDGET, out="calibration.json")),
+    (f"calibrate {_D} --alpha 0.2 --trials 500 --seed 1 --method exact --restarts 3"
+     " --budget 1000 --out cal.json --threads 1",
+     dict(_DIMS, alpha=0.2, trials=500, seed=1, method="exact", restarts=3, budget=1000,
+          out="cal.json")),
+    ("detect --matrix m.csv --calibration cal.json",
+     dict(matrix="m.csv", calibration="cal.json", meta=None, out=None)),
+    ("detect --matrix m.csv --calibration cal.json --meta m.json --out d.json --threads 2",
+     dict(matrix="m.csv", calibration="cal.json", meta="m.json", out="d.json")),
+    (f"risk {_D} --a 2.0",
+     dict(_DIMS, a=2.0, trials=200, seed=0, method="exact", restarts=20, budget=_BUDGET,
+          out=None)),
+    (f"risk {_D} --a 2 --trials 20 --seed 5 --method heuristic --restarts 4 --budget 99"
+     " --out r.json",
+     dict(_DIMS, a=2.0, trials=20, seed=5, method="heuristic", restarts=4, budget=99,
+          out="r.json")),
+    (f"sweep {_D} --mult 0.5,1,2",
+     dict(_DIMS, mult="0.5,1,2", trials=200, seed=0, method="heuristic", restarts=20,
+          budget=_BUDGET, out=None, csv=None)),
+    (f"sweep {_D} --mult 1 --trials 10 --seed 3 --method exact --restarts 2 --budget 50"
+     " --csv g.csv --out s.json --threads 1",
+     dict(_DIMS, mult="1", trials=10, seed=3, method="exact", restarts=2, budget=50,
+          out="s.json", csv="g.csv")),
+    ("vector-risk --N 500 --n 4 --mult 2.0",
+     dict(N=500, n=4, a=None, mult=2.0, trials=200, seed=0, out=None)),
+    ("vector-risk --N 500 --n 4 --a 3.5 --trials 50 --seed 2 --out v.json",
+     dict(N=500, n=4, a=3.5, mult=None, trials=50, seed=2, out="v.json")),
+    ("maxgauss --J 100 --t 0.5",
+     dict(J=100, t=0.5, trials=400, seed=0, out=None)),
+    ("maxgauss --J 100 --t 0.5 --trials 200 --seed 6 --out g.json --threads 2",
+     dict(J=100, t=0.5, trials=200, seed=6, out="g.json")),
+    ("selftest", {}),
+    ("selftest --threads 2", {}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_OPTIONS, ids=[a for a, _ in PINNED_OPTIONS])
+def test_resolved_options_are_pinned(argv, expected):
+    options = parse_args(argv.split()).options
+    assert options == expected
+    # --threads changes speed, never results, so it is never echoed into the provenance
+    assert "threads" not in options
+
+
+def test_pinned_table_covers_every_verb():
+    assert sorted({argv.split()[0] for argv, _ in PINNED_OPTIONS}) == sorted(VERBS)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_verb_help_exits_zero(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert f"subscan {verb}" in capsys.readouterr().out
+
+
+def _config_run(tmp_path, capsys, argv, values):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    return run_cli(argv + ["--config", str(config)], capsys)
+
+
+@pytest.mark.parametrize("argv, values, needle", [
+    (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], {"trials": "abc"},
+     "--trials must be an integer >= 1, got 'abc'"),
+    (["risk", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], {"N": "10"},
+     "--N must be an integer, got '10'"),
+    (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], {"trials": 5.0},
+     "--trials must be an integer >= 1, got 5.0"),
+    (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], {"seed": True},
+     "--seed must be an integer, got True"),
+    (["vector-risk", "--N", "500", "--n", "4"], {"mult": "x"}, "--mult must be a number, got 'x'"),
+    (["sweep", "--N", "8", "--M", "8", "--n", "2", "--m", "2"], {"mult": [0.5, "x"]},
+     "--mult must be a comma-separated number list"),
+    (["generate", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], {"rows": [0, 1.5]},
+     "--rows must be a comma-separated integer list"),
+    (["select", "--matrix", "m.csv"], {"out": 3}, "--out must be a string, got 3"),
+    (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"],
+     {"method": "brute-force"}, "--method must be one of exact, heuristic"),
+])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, argv, values, needle):
+    code, out, err = _config_run(tmp_path, capsys, argv, values)
+    assert code == EXIT_USAGE and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert needle in payload["detail"]
+
+
+def test_config_values_echo_without_coercion(tmp_path, capsys):
+    code, out, _ = _config_run(
+        tmp_path, capsys, ["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2"],
+        {"a": 2, "trials": 5, "seed": 3},
+    )
+    assert code == EXIT_OK
+    config = json.loads(out)["config"]
+    assert config["a"] == 2 and isinstance(config["a"], int)
+    assert (config["trials"], config["seed"]) == (5, 3)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_flag_is_usage_error(capsys, threads):
+    code, _, err = run_cli(["maxgauss", "--J", "10", "--t", "1", "--threads", threads], capsys)
+    assert code == EXIT_USAGE
+    assert f"--threads must be >= 1, got {threads}" in json.loads(err)["detail"]
+
+
+def test_bad_thread_env_var_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SUBSCAN_THREADS", "abc")
+    code, _, err = run_cli(["maxgauss", "--J", "10", "--t", "1", "--trials", "100"], capsys)
+    assert code == EXIT_USAGE
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and "SUBSCAN_THREADS" in payload["detail"]
+
+
+@pytest.mark.parametrize("values", [{"alpha": 0.3}, {"threads": 4}])
+def test_config_keys_belong_to_their_verb(tmp_path, capsys, values):
+    code, _, err = _config_run(tmp_path, capsys, ["maxgauss", "--J", "10", "--t", "1"], values)
+    assert code == EXIT_USAGE
+    assert next(iter(values)) in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--out", "x.json"],
+    ["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1", "--method", "brute-force"],
+    ["select", "--matrix", "m.csv", "--method", "brute-force"],
+])
+def test_flags_outside_a_verb_exit_via_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("body", [
+    [1, 2],
+    {"alpha": 0.1, "scan_crit": 1.0, "linear_crit": 1.0, "trials": 1000, "dims": {"N": 6},
+     "seed": 0, "method": "heuristic", "restarts": 2},
+], ids=["not_an_object", "dims_missing_keys"])
+def test_malformed_calibration_is_usage_error(tmp_path, capsys, body):
+    matrix = tmp_path / "m.csv"
+    run_cli(["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",
+             "--out", str(matrix)], capsys)
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps(body))
+    code, _, err = run_cli(["detect", "--matrix", str(matrix), "--calibration", str(calib)], capsys)
+    assert code == EXIT_USAGE
+    assert "malformed calibration file" in json.loads(err)["detail"]

@@ -52,8 +52,9 @@ def test_scan_statistic_is_normalized_objective():
 
 def test_scan_statistic_method_guard():
     obs = generate_null(Dims(5, 5, 2, 2), 0)
-    with pytest.raises(ValidationError):
-        scan_statistic(obs, 2, 2, method="annealing")
+    for method in ("annealing", "brute_force"):
+        with pytest.raises(ValidationError):
+            scan_statistic(obs, 2, 2, method=method)
 
 
 def test_scan_statistic_null_concentration_band():
