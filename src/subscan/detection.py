@@ -21,15 +21,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .model import Dims, Observation, generate_null
-from .parallel import map_indexed
+from .model import Dims, Observation, canonical_support
+from .model import generate_null  # noqa: F401  perfbench's tracer rebinds this here
+from .montecarlo import scan_trials
 from .selector import EXACT_ENUMERATION_BUDGET, scan
 from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
 from .streams import derive_seed
 
-_NOISE_TAG = 0
-_SELECT_TAG = 1
-_DETECT_TAG = 2
+_DETECT_TAG = 2  # the noise and select stream tags 0 and 1 belong to scan_trials
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,10 @@ def linear_statistic(obs: Observation) -> float:
     return float(obs.data.sum() / math.sqrt(obs.data.size))
 
 
+def _normalised(objective: float, n: int, m: int) -> float:
+    return objective / math.sqrt(n * m)
+
+
 def scan_statistic(
     obs: Observation,
     n: int,
@@ -74,7 +77,7 @@ def scan_statistic(
 ) -> float:
     """Selector objective over sqrt(n*m)."""
     res = scan(obs, n, m, method, restarts=restarts, seed=seed, budget=budget, workers=workers)
-    return res.objective / math.sqrt(n * m)
+    return _normalised(res.objective, n, m)
 
 
 def _empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -107,36 +110,18 @@ def calibrate(
             f"need trials >= 100/alpha = {100.0 / alpha:.0f} for quantile estimation, got {trials}"
         )
 
-    def one_trial(t: int) -> tuple[float, float]:
-        null = generate_null(dims, derive_seed(seed, (_NOISE_TAG, t)))
-        lin = linear_statistic(null)
-        # trials parallelize; the scan inside each trial stays serial
-        scn = scan_statistic(
-            null,
-            dims.n,
-            dims.m,
-            method=method,
-            restarts=restarts,
-            seed=derive_seed(seed, (_SELECT_TAG, t)),
-            budget=budget,
-            workers=1,
-        )
-        return lin, scn
+    def outcome(obs, res) -> tuple[float, float]:
+        return linear_statistic(obs), _normalised(res.objective, dims.n, dims.m)
 
-    # threads pay only for the exact scan (see montecarlo.estimate_risk)
-    stats = map_indexed(one_trial, trials, workers if method == "exact" else 1)
-    lin = np.array([s[0] for s in stats])
-    scn = np.array([s[1] for s in stats])
+    # the null trial is the risk trial at a = 0
+    stats = scan_trials(dims, canonical_support(dims), 0.0, trials, seed, outcome, method=method,
+                        restarts=restarts, budget=budget, workers=workers)
+    lin, scn = np.array(stats).T
     level = 1.0 - alpha / 2.0
     return DetectionCalibration(
-        alpha=alpha,
-        scan_crit=_empirical_quantile(scn, level),
-        linear_crit=_empirical_quantile(lin, level),
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        method=method,
-        restarts=restarts,
+        alpha=alpha, scan_crit=_empirical_quantile(scn, level),
+        linear_crit=_empirical_quantile(lin, level), trials=trials, dims=dims, seed=seed,
+        method=method, restarts=restarts,
     )
 
 

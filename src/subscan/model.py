@@ -167,8 +167,8 @@ def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Obs
     """Draw Y = S + xi with xi i.i.d. N(0,1) from the stream keyed by seed.
 
     The noise depends only on (dims, seed), never on the signal, so runs at
-    different signal levels share their noise (common random numbers) and
-    generate(..., a=0, ...) coincides with generate_null.
+    different signal levels share their noise (common random numbers), and
+    at a = 0 the draw is the pure-noise null.
     """
     _check_support(dims, support)
     data = gaussian_stream(seed).standard_normal(dims.shape)
@@ -185,7 +185,5 @@ def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Obs
 
 
 def generate_null(dims: Dims, seed: int) -> Observation:
-    """A pure-noise matrix; identical to generate(...) with a = 0 and the same seed."""
-    data = gaussian_stream(seed).standard_normal(dims.shape)
-    data.flags.writeable = False
-    return Observation(data, dims)
+    """A pure-noise matrix: generate(...) with a = 0 and the same seed."""
+    return generate(dims, canonical_support(dims), SignalSpec(0.0), seed)

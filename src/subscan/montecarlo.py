@@ -8,14 +8,16 @@ least favorable configuration.
 
 Trials are independent, draw from streams keyed by (seed, tag, trial index),
 and are aggregated in trial order, so estimates are bit-identical for any
-worker count.  Failure is exact set mismatch; the average overlap fraction is
-reported as a diagnostic only.
+worker count.  `scan_trials` is the one draw-then-scan trial loop, run at
+signal a for risk and at a = 0 for detection's null calibration.  Failure is
+exact set mismatch; the average overlap fraction is a diagnostic only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .errors import ValidationError
 from .model import Dims, SignalSpec, Support, canonical_support, generate
@@ -105,6 +107,28 @@ def _risk_estimate(outcomes, selector_method, dims, a, seed) -> RiskEstimate:
     )
 
 
+def scan_trials(dims: Dims, planted: Support, a: float, trials: int, seed: int, outcome: Callable,
+                *, method: str, restarts: int, budget: int, workers: int | None) -> list:
+    """[outcome(obs, result) for trial t = 0, 1, ...], in trial order.
+
+    Trial t draws `obs` with mean `a` on the `planted` support from the noise
+    stream (seed, 0, t), so at a = 0 it is the pure-noise null, and scans it
+    serially with `method`, seeded from the select stream (seed, 1, t).
+    """
+    signal = SignalSpec(a)
+
+    def one_trial(t: int):
+        obs = generate(dims, planted, signal, derive_seed(seed, (_NOISE_TAG, t)))
+        # trials parallelize; the scan inside each trial stays serial
+        res = scan(obs, dims.n, dims.m, method, restarts=restarts,
+                   seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget, workers=1)
+        return outcome(obs, res)
+
+    # only the exact scan's large gathers release the GIL for long enough to
+    # pay for a thread; heuristic trials run faster serially
+    return map_indexed(one_trial, trials, workers if method == "exact" else 1)
+
+
 def estimate_risk(
     dims: Dims,
     a: float,
@@ -123,21 +147,13 @@ def estimate_risk(
     the block's location.
     """
     planted = support if support is not None else canonical_support(dims)
-    signal = SignalSpec(a)
     nm = dims.n * dims.m
 
-    def one_trial(t: int) -> tuple[bool, float]:
-        obs = generate(dims, planted, signal, derive_seed(seed, (_NOISE_TAG, t)))
-        # trials parallelize; the selector inside each trial stays serial
-        res = scan(
-            obs, dims.n, dims.m, selector_method, restarts=restarts,
-            seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget, workers=1,
-        )
+    def outcome(obs, res) -> tuple[bool, float]:
         return res.support != planted, res.support.overlap(planted) / nm
 
-    # only the exact scan's large gathers release the GIL for long enough to
-    # pay for a thread; heuristic trials run faster serially
-    outcomes = map_indexed(one_trial, trials, workers if selector_method == "exact" else 1)
+    outcomes = scan_trials(dims, planted, a, trials, seed, outcome, method=selector_method,
+                           restarts=restarts, budget=budget, workers=workers)
     return _risk_estimate(outcomes, selector_method, dims, a, seed)
 
 

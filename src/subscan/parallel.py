@@ -1,18 +1,15 @@
-"""Thread-pool helpers with results independent of the worker count.
+"""Thread-pool fan-out with results independent of the worker count.
 
-Work items are keyed by their index and results are collected back in index
-order, so any reduction over them is identical to a sequential run.
+`map_windowed` is the one thread pool: it keeps a bounded window of items in
+flight and yields results in input order, so any reduction over them is
+identical to a sequential run; `map_indexed` runs it over 0..count-1.
 
 Threads pay only where the work is a few large numpy kernels, which release
-the GIL:
-
-* the exact scan's chunk gathers (`map_windowed` over enumeration chunks);
-* Monte Carlo trials that run the exact scan (`map_indexed` over trials in
-  `estimate_risk` and `calibrate`);
-* `vector_risk` and `max_gauss_exceedance`, whose trials are each one long
-  Gaussian draw.
-
-A heuristic trial is a loop of small array calls that holds the GIL most of
+the GIL: the chunks of an exact scan that spans more than one chunk; Monte
+Carlo trials that run the exact scan (`montecarlo.scan_trials`, behind
+`estimate_risk` and `calibrate`); and `vector_risk` and
+`max_gauss_exceedance`, whose trials are each one long Gaussian draw.  A
+heuristic trial is a loop of small array calls that holds the GIL most of
 the time, so those trials run serially whatever worker count is asked for.
 """
 
@@ -43,25 +40,15 @@ def resolve_workers(workers: int | None) -> int:
     return int(env)
 
 
-def map_indexed(fn: Callable[[int], R], count: int, workers: int | None = None) -> list[R]:
-    """[fn(0), ..., fn(count-1)], computed with up to `workers` threads."""
-    nw = resolve_workers(workers)
-    if nw <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=nw) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def map_windowed(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> Iterator[R]:
     """Like map(fn, items) but parallel, keeping at most ~2*workers items in flight.
 
-    Used where items are produced lazily from a large enumeration and must not
-    all be materialized at once.  Results come back in input order.
+    Items are pulled lazily, so a large enumeration is never materialized at
+    once.  Results come back in input order.
     """
     nw = resolve_workers(workers)
     if nw <= 1:
-        for item in items:
-            yield fn(item)
+        yield from map(fn, items)
         return
     window = 2 * nw
     with ThreadPoolExecutor(max_workers=nw) as ex:
@@ -72,3 +59,9 @@ def map_windowed(fn: Callable[[T], R], items: Iterable[T], workers: int | None =
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def map_indexed(fn: Callable[[int], R], count: int, workers: int | None = None) -> list[R]:
+    """[fn(0), ..., fn(count-1)], computed with up to `workers` threads (none for one item)."""
+    nw = resolve_workers(workers)
+    return list(map_windowed(fn, range(count), nw if count > 1 else 1))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .model import Observation, Support
-from .parallel import map_windowed
+from .parallel import map_windowed, resolve_workers
 from .streams import gaussian_stream
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
@@ -44,11 +44,15 @@ class SelectorResult:
     to_dict = asdict
 
 
+def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of each row; ties go to the smaller
+    index; sorted ascending."""
+    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :k], axis=1)
+
+
 def top_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries; ties go to the smaller index; sorted ascending."""
-    values = np.asarray(values)
-    order = np.lexsort((np.arange(values.size), -values))
-    return np.sort(order[:k])
+    """_top_rows of a single vector."""
+    return _top_rows(np.asarray(values)[None, :], k)[0]
 
 
 # (objective, rows, cols) candidates; None is worse than everything.
@@ -87,10 +91,11 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int, workers: int | N
     N, M = Y.shape
     count_rows = math.comb(N, n)
     count_cols = math.comb(M, m)
-    if min(count_rows, count_cols) > budget:
+    count = min(count_rows, count_cols)
+    if count > budget:
         raise BudgetExceededError(
-            f"exact scan needs {min(count_rows, count_cols):,} subsets, over the "
-            f"budget of {budget:,}; raise the budget or use the heuristic selector"
+            f"exact scan needs {count:,} subsets, over the budget of {budget:,}; "
+            "raise the budget or use the heuristic selector"
         )
     transposed = count_cols < count_rows
     W = Y.T if transposed else Y
@@ -121,8 +126,10 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int, workers: int | N
                 best = cand
         return best
 
+    nw = resolve_workers(workers)
     best = None
-    for cand in map_windowed(process, _chunks(K, k_enum, chunk), workers):
+    # a single chunk cannot pay for starting a thread pool
+    for cand in map_windowed(process, _chunks(K, k_enum, chunk), nw if count > chunk else 1):
         if _improves(cand, best):
             best = cand
     return best
@@ -171,12 +178,6 @@ def scan_brute_force(
     _, rows, cols = best
     support = Support(rows, cols)
     return SelectorResult(support, _objective(Y, rows, cols), "brute_force")
-
-
-def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top_indices: the k largest entries of each row, ties to the
-    smaller index, sorted ascending."""
-    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :k], axis=1)
 
 
 def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):

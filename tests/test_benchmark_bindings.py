@@ -1,0 +1,35 @@
+"""The benchmark's traced run (`perfbench/run.py --trace 1`) wraps module
+attributes of `subscan` by name and calls the fan-out helpers directly, so a
+refactor that drops one of those names breaks only that run.  These tests
+catch it here."""
+
+import importlib.util
+from pathlib import Path
+
+from subscan import parallel
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_and_restores_every_binding():
+    tracing = _tracing()
+    before = [(mod, attr, getattr(mod, attr)) for _, mods, attr in tracing.WRAPPED for mod in mods]
+    tracer = tracing.Tracer()
+    try:
+        tracer.__enter__()  # fails on a binding that is gone
+        assert all(getattr(mod, attr) is not fn for mod, attr, fn in before)
+    finally:
+        tracer.__exit__(None, None, None)
+    assert all(getattr(mod, attr) is fn for mod, attr, fn in before)
+
+
+def test_fan_out_helpers_exist():
+    assert parallel.map_indexed(lambda i: i * i, 4, workers=2) == [0, 1, 4, 9]
+    assert list(parallel.map_windowed(str, range(3), workers=2)) == ["0", "1", "2"]

@@ -441,11 +441,17 @@ def test_flags_outside_a_verb_exit_via_argparse(argv, capsys):
     assert exc.value.code == 2
 
 
+_CALIBRATION = {"alpha": 0.1, "scan_crit": 1.0, "linear_crit": 1.0, "trials": 1000,
+                "dims": {"N": 6, "M": 6, "n": 2, "m": 2}, "seed": 0, "method": "heuristic",
+                "restarts": 2}
+
+
 @pytest.mark.parametrize("body", [
     [1, 2],
-    {"alpha": 0.1, "scan_crit": 1.0, "linear_crit": 1.0, "trials": 1000, "dims": {"N": 6},
-     "seed": 0, "method": "heuristic", "restarts": 2},
-], ids=["not_an_object", "dims_missing_keys"])
+    dict(_CALIBRATION, dims={"N": 6}),
+    dict(_CALIBRATION, scan_crit="x"),
+    dict(_CALIBRATION, restarts="3"),
+], ids=["not_an_object", "dims_missing_keys", "scan_crit_string", "restarts_string"])
 def test_malformed_calibration_is_usage_error(tmp_path, capsys, body):
     matrix = tmp_path / "m.csv"
     run_cli(["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",

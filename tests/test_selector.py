@@ -112,6 +112,108 @@ def test_matches_brute_force_under_heavy_ties():
         assert exact.objective == brute.objective
 
 
+def _integer_oracle(Y, n, m):
+    """(objective, rows, cols) of the lexicographically smallest maximiser,
+    from every row set at once in integer arithmetic."""
+    Y = Y.astype(np.int16)
+    row_sets = np.array(list(itertools.combinations(range(Y.shape[0]), n)))
+    colsums = sum(Y[row_sets[:, i]] for i in range(n))
+    objs = np.sort(colsums, axis=1)[:, Y.shape[1] - m:].sum(axis=1)
+    best = int(np.argmax(objs))  # combinations come in lex order
+    s = colsums[best]
+    cols = sorted(sorted(range(Y.shape[1]), key=lambda j: (-s[j], j))[:m])
+    return int(objs[best]), tuple(row_sets[best].tolist()), tuple(cols)
+
+
+def _two_blocks(shape, first, second):
+    Y = np.zeros(shape)
+    for rows, cols in (first, second):
+        Y[np.ix_(rows, cols)] = 1.0
+    return Y
+
+
+# the 25,000th and 25,001st of the 27,405 subsets of 4 out of 30, in lex
+# order: the last subset of the first chunk and the first of the second
+_LAST, _FIRST = itertools.islice(itertools.combinations(range(30), 4), 24_999, 25_001)
+
+
+def _two_chunk_ties():
+    """{0,1} matrices whose exact scan enumerates 27,405 subsets in two chunks,
+    rows on 30x40 and (transposed) columns on 40x30, n = m = 4."""
+    low, high = (0, 1, 2, 3), (10, 11, 12, 13)
+    cases = [
+        # one maximiser per chunk: the rows tie-break keeps the first chunk's
+        ("rows-tie", _two_blocks((30, 40), (_LAST, range(4)), (_FIRST, range(4, 8)))),
+        # the only maximiser is in the second chunk
+        ("rows-second", _two_blocks((30, 40), (_LAST, range(3)), (_FIRST, range(4, 8)))),
+        # columns are enumerated, yet the second chunk's smaller rows win the tie
+        ("cols-tie-second", _two_blocks((40, 30), (high, _LAST), (low, _FIRST))),
+        ("cols-tie-first", _two_blocks((40, 30), (low, _LAST), (high, _FIRST))),
+    ]
+    rng = gaussian_stream(4343)
+    for density in (0.5, 0.25, 0.1):
+        for shape in ((30, 40), (40, 30)):
+            cases.append((f"{shape[0]}x{shape[1]}-p{density}", (rng.random(shape) < density) * 1.0))
+    # sparse before index 12, which every second-chunk subset starts at, so
+    # the many tied maximisers all sit in the second chunk
+    late = np.where(np.arange(30) < 12, 0.05, 0.5)
+    cases.append(("rows-late", (rng.random((30, 40)) < late[:, None]) * 1.0))
+    cases.append(("cols-late", (rng.random((40, 30)) < late[None, :]) * 1.0))
+    return [pytest.param(Y, id=name) for name, Y in cases]
+
+
+@pytest.mark.parametrize("Y", _two_chunk_ties())
+def test_exact_ties_across_chunk_boundaries(monkeypatch, Y):
+    import subscan.selector as sel
+
+    blocks = []
+    chunks = sel._chunks
+
+    def counted(*args):
+        for block in chunks(*args):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(sel, "_chunks", counted)
+    N, M = Y.shape
+    objective, rows, cols = _integer_oracle(Y, 4, 4)
+    for workers in (1, 2):
+        blocks.clear()
+        res = scan_exact(Observation(Y, Dims(N, M, 4, 4)), 4, 4, workers=workers)
+        assert blocks == [25_000, 2_405]
+        assert (res.support.rows, res.support.cols, res.objective) == (rows, cols, objective)
+
+
+def test_one_chunk_exact_scan_starts_no_threads(monkeypatch):
+    import subscan.selector as sel
+
+    seen = []
+    windowed = sel.map_windowed
+
+    def record(fn, items, workers=None):
+        seen.append(workers)
+        return windowed(fn, items, workers)
+
+    monkeypatch.setattr(sel, "map_windowed", record)
+    one = scan_exact(noise_obs(20, 20, 3, n=3, m=3), 3, 3, workers=2)  # 1,140 subsets
+    scan_exact(noise_obs(30, 40, 3, n=4, m=4), 4, 4, workers=2)  # 27,405: two chunks
+    assert seen == [1, 2]
+    assert one == scan_exact(noise_obs(20, 20, 3, n=3, m=3), 3, 3, workers=1)
+
+
+def test_top_indices_matches_lexsort_reference():
+    # largest first, ties to the smaller index, sorted; the reference is a lexsort
+    rng = gaussian_stream(2024)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan])
+    for _ in range(2000):
+        size = int(rng.integers(1, 40))
+        ints = rng.random() < 0.5
+        x = rng.integers(-2, 3, size).astype(float) if ints else rng.choice(pool, size)
+        k = int(rng.integers(0, size + 1))
+        expected = np.sort(np.lexsort((np.arange(size), -x))[:k])
+        assert top_indices(x, k).tolist() == expected.tolist(), (x, k)
+
+
 def test_objective_matches_recomputed_sum():
     for seed in range(20):
         obs = noise_obs(8, 6, 300 + seed)
