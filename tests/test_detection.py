@@ -147,3 +147,19 @@ def test_calibration_serializable_roundtrip():
     blob = json.loads(json.dumps(calib.to_dict()))
     assert blob["scan_crit"] == calib.scan_crit
     assert blob["dims"] == {"N": 12, "M": 12, "n": 2, "m": 2}
+
+
+@pytest.mark.parametrize("method, expected", [("exact", 2), ("heuristic", 1)])
+def test_only_exact_calibration_fans_out(monkeypatch, method, expected):
+    # calibrate's null trials run through montecarlo's trial loop
+    import subscan.montecarlo as mc
+
+    seen = []
+
+    def record(fn, count, workers=None):
+        seen.append(workers)
+        return [fn(i) for i in range(count)]
+
+    monkeypatch.setattr(mc, "map_indexed", record)
+    calibrate(Dims(6, 6, 2, 2), 0.5, 200, seed=5, method=method, restarts=2, workers=2)
+    assert seen == [expected]

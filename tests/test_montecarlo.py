@@ -9,7 +9,6 @@ import pytest
 from subscan import (
     Dims,
     ValidationError,
-    calibrate,
     canonical_support,
     estimate_risk,
     make_support,
@@ -240,7 +239,6 @@ def test_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("method, expected", [("exact", 2), ("heuristic", 1)])
 def test_only_exact_trials_fan_out(monkeypatch, method, expected):
-    # estimate_risk and calibrate both run their trials through montecarlo's loop
     import subscan.montecarlo as mc
 
     seen = []
@@ -252,5 +250,3 @@ def test_only_exact_trials_fan_out(monkeypatch, method, expected):
     monkeypatch.setattr(mc, "map_indexed", record)
     estimate_risk(Dims(6, 6, 2, 2), 2.0, 3, seed=5, selector_method=method, restarts=2, workers=2)
     assert seen == [expected]
-    calibrate(Dims(6, 6, 2, 2), 0.5, 200, seed=5, method=method, restarts=2, workers=2)
-    assert seen == [expected, expected]
