@@ -4,13 +4,14 @@
 flight and yields results in input order, so any reduction over them is
 identical to a sequential run; `map_indexed` runs it over 0..count-1.
 
-Threads pay only where the work is a few large numpy kernels, which release
-the GIL: the chunks of an exact scan that spans more than one chunk; Monte
-Carlo trials that run the exact scan (`montecarlo.scan_trials`, behind
-`estimate_risk` and `calibrate`); and `vector_risk` and
+Threads fan out whole Monte Carlo trials, never the inside of one scan: the
+trials that run the exact scan (`montecarlo.scan_trials`, behind
+`estimate_risk` and `calibrate`), and `vector_risk` and
 `max_gauss_exceedance`, whose trials are each one long Gaussian draw.  A
 heuristic trial is a loop of small array calls that holds the GIL most of
 the time, so those trials run serially whatever worker count is asked for.
+A single exact scan, whose branch and bound prunes most of its work to a few
+small blocks, runs on one thread.
 """
 
 from __future__ import annotations

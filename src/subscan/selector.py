@@ -3,10 +3,12 @@
 The exact scan never enumerates both axes.  For a fixed row set A the best
 column set is the m largest column sums restricted to A, so it suffices to
 enumerate subsets of whichever axis has the smaller binomial coefficient and
-read the other axis off a partial sort.  Subsets are processed in
-lexicographic order in vectorized chunks; chunks can be fanned out to worker
-threads because the reduction keeps the maximum of (objective, tie key),
-which makes the result identical to a sequential run.
+read the other axis off a partial sort.  The subsets are searched depth
+first, in lexicographic order and in vectorized blocks of bounded size, by
+branch and bound: a prefix is dropped once no completion can reach the best
+objective known, with a slack for rounding, so every maximizer is scored with
+the same arithmetic and the tie-break below is settled among all of them.
+One scan runs on one thread; its `workers` argument changes nothing.
 
 Tie-breaking is total and deterministic everywhere: higher objective first,
 then the lexicographically smallest row set, then the lexicographically
@@ -24,8 +26,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .model import Observation, Support
-from .parallel import map_windowed, resolve_workers
-from .streams import gaussian_stream
+from .streams import gaussian_stream  # noqa: F401  perfbench's tracer rebinds it here
+from .streams import rekey
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -77,17 +79,63 @@ def _objective(Y: np.ndarray, rows, cols) -> float:
     return float(Y[np.ix_(list(rows), list(cols))].sum())
 
 
-def _chunks(indices: int, size: int, chunk: int):
-    it = itertools.combinations(range(indices), size)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield block
+def _top_sums(sums: np.ndarray, t: int) -> np.ndarray:
+    """Sum of the t largest entries of each row: the scan objective of each
+    row of column sums, always computed by this one expression.  May reorder
+    each row of `sums` in place."""
+    L = sums.shape[1]
+    if t == L:
+        return sums.sum(axis=1)
+    sums.partition(L - t, axis=1)
+    return sums[:, L - t:].sum(axis=1)
 
 
-def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int, workers: int | None):
-    """Exact maximizer via single-axis enumeration plus top-k on the other axis."""
+def _suffix_tops(W: np.ndarray, r_max: int) -> np.ndarray:
+    """tops[r, i]: per column, the sum of the r largest entries of W[i:], for
+    r = 0..r_max and i = 0..K (-inf where fewer than r rows remain).
+
+    The r-th largest entry of W[i:] is the largest over j >= i of
+    min(W[j], the (r-1)-th largest of W[j+1:]), one running max per r.
+    """
+    K, L = W.shape
+    tops = np.zeros((r_max + 1, K + 1, L))
+    prev = np.full((K + 1, L), np.inf)
+    for r in range(1, r_max + 1):
+        largest = np.full((K + 1, L), -np.inf)
+        largest[:K] = np.maximum.accumulate(np.minimum(W, prev[1:])[::-1], axis=0)[::-1]
+        tops[r] = tops[r - 1] + largest
+        prev = largest
+    return tops
+
+
+def _incumbent(W: np.ndarray, k: int, t: int) -> float:
+    """Objective of a good k-row set, in the scan's own arithmetic: the best
+    alternating-maximization fixed point from K deterministic starts, each
+    row's top-t columns and then the top-k rows for those columns.  The starts
+    climb in batches that keep the climb's gathers near 4M floats."""
+    K, L = W.shape
+    step = max(1, 4_000_000 // (K * t + k * L))
+    best = -np.inf
+    for lo in range(0, K, step):
+        cols = _top_rows(W[lo:lo + step], t)
+        init = _top_rows(W[:, cols].sum(axis=2).T, k)
+        rows = _climb(W, init, k, t, MAX_ALTERNATIONS)[0]
+        best = max(best, float(_top_sums(W[rows].sum(axis=1), t).max()))
+    return best
+
+
+def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
+    """Exact maximizer via single-axis enumeration plus top-k on the other axis.
+
+    A lexicographic depth-first branch-and-bound over the k-subsets of the
+    enumerated axis.  A prefix carries its running sum, and each child adds one
+    row in index order, so a completed sum is bit-identical to
+    W[subset].sum(axis=1).  A prefix is pruned when even the best r rows left
+    per column cannot lift it to the incumbent; the slack covers rounding, so
+    every maximizer survives, and the tie-break is settled among them.
+    Children are made `block` at a time (about 2**18 floats of sums), so
+    memory stays bounded where nothing prunes.
+    """
     N, M = Y.shape
     count_rows = math.comb(N, n)
     count_cols = math.comb(M, m)
@@ -99,39 +147,68 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int, workers: int | N
         )
     transposed = count_cols < count_rows
     W = Y.T if transposed else Y
-    k_enum, k_top = (m, n) if transposed else (n, m)
+    k, t = (m, n) if transposed else (n, m)
     K, L = W.shape
-    chunk = max(256, int(4_000_000 / max(1, k_enum * L)))
-
-    def process(block):
-        flat = itertools.chain.from_iterable(block)
-        arr = np.fromiter(flat, dtype=np.intp, count=len(block) * k_enum).reshape(-1, k_enum)
-        sums = W[arr].sum(axis=1) if k_enum > 1 else W[arr[:, 0]]
-        if k_top == L:
-            objs = sums.sum(axis=1)
-        else:
-            objs = np.partition(sums, L - k_top, axis=1)[:, L - k_top:].sum(axis=1)
-        peak = objs.max()
-        ties = np.flatnonzero(objs == peak)
-        if not transposed:
-            # distinct row subsets in lex order: the first tie already has the
-            # lexicographically smallest rows, and cols only matter per-rows
-            ties = ties[:1]
-        best = None
-        for i in ties:
-            other = tuple(int(j) for j in top_indices(sums[i], k_top))
-            subset = block[i]
-            cand = (float(peak), other, subset) if transposed else (float(peak), subset, other)
-            if _improves(cand, best):
-                best = cand
-        return best
-
-    nw = resolve_workers(workers)
+    block = max(256, 2**18 // L)
+    tops = _suffix_tops(W, k - 1)
+    # a generous multiple of the rounding error of a sum of k*t entries
+    slack = (k + t + 2) * k * t * float(np.abs(W).max()) * 2.0**-50
+    floor = _incumbent(W, k, t) - slack if k > 1 else -np.inf
+    gain = _top_sums((W + tops[:-1, 1:]).reshape(-1, L), t).reshape(k - 1, K)
     best = None
-    # a single chunk cannot pay for starting a thread pool
-    for cand in map_windowed(process, _chunks(K, k_enum, chunk), nw if count > chunk else 1):
+
+    def score(subsets, sums):
+        nonlocal best, floor
+        objs = _top_sums(sums, t)
+        peak = objs.max()
+        if best is not None and peak < best[0]:
+            return
+        tied = subsets[objs == peak]
+        # the partition reordered `sums`: the tied sums are summed again, in
+        # column order and in the same arithmetic
+        if transposed:  # the rows each tied column set picks decide the tie
+            rows, cols = _top_rows(W[tied].sum(axis=1), t), tied
+            i = np.lexsort(np.hstack([rows, cols]).T[::-1])[0]
+            rows, cols = rows[i], cols[i]
+        else:  # distinct row sets: the smallest wins, whatever its columns
+            rows = tied[np.lexsort(tied.T[::-1])[0]]
+            cols = top_indices(W[rows].sum(axis=0), t)
+        cand = (float(peak), tuple(rows.tolist()), tuple(cols.tolist()))
         if _improves(cand, best):
             best = cand
+            floor = max(floor, best[0] - slack)
+
+    def visit(subsets, sums):
+        d = subsets.shape[1]
+        if not len(subsets):
+            return
+        if d == k:
+            score(subsets, sums)
+            return
+        bounds = tops[k - d, subsets[:, -1] + 1]
+        bounds += sums
+        keep = ~(_top_sums(bounds, t) < floor)
+        subsets, sums = subsets[keep], sums[keep]
+        head = _top_sums(sums.copy(), t)
+        # a child at depth d + 1 still needs k - d - 1 rows after its own
+        counts = K - k + d - subsets[:, -1]
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < len(subsets):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + block, "right")))
+            parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            first = ends[parent] - counts[parent]
+            rows = np.arange(ends[lo] - counts[lo], ends[hi - 1]) - first + subsets[parent, -1] + 1
+            ok = ~(head[parent] + gain[k - d - 1, rows] < floor)
+            parent, rows = parent[ok], rows[ok]
+            child = W[rows]
+            child += sums[parent]
+            visit(np.column_stack([subsets[parent], rows]), child)
+            lo = hi
+
+    for lo in range(0, K - k + 1, block):
+        start = np.arange(lo, min(lo + block, K - k + 1))
+        visit(start[:, None], W[start])
     return best
 
 
@@ -146,9 +223,10 @@ def scan_exact(
 
     Enumerates only the cheaper axis (see module docstring); raises
     BudgetExceededError when even that side exceeds `budget` subsets.
+    `workers` is accepted and ignored: one scan runs on one thread.
     """
     Y = _check_shape(obs, n, m)
-    obj, rows, cols = _scan_enumerate(Y, n, m, budget, workers)
+    obj, rows, cols = _scan_enumerate(Y, n, m, budget)
     support = Support(rows, cols)
     return SelectorResult(support, _objective(Y, rows, cols), "exact")
 
@@ -217,6 +295,18 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
     return rows, cols, obj, cycles
 
 
+def _restart_rows(N: int, n: int, restarts: int, seed: int) -> np.ndarray:
+    """Initial row set of each restart r: n of N drawn without replacement from
+    gaussian_stream(seed, (r,)), sorted.  One Philox is re-keyed per restart."""
+    bits = np.random.Philox(0)
+    draw = np.random.Generator(bits)
+    init = []
+    for r in range(restarts):
+        rekey(bits, seed, (r,))
+        init.append(np.sort(draw.choice(N, size=n, replace=False)))
+    return np.array(init)
+
+
 def scan_heuristic(
     obs: Observation,
     n: int,
@@ -231,12 +321,7 @@ def scan_heuristic(
     Y = _check_shape(obs, n, m)
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    N = Y.shape[0]
-    init = np.array([
-        np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
-        for r in range(restarts)
-    ])
-    rows, cols, obj, cycles = _climb(Y, init, n, m, max_cycles)
+    rows, cols, obj, cycles = _climb(Y, _restart_rows(Y.shape[0], n, restarts, seed), n, m, max_cycles)
     best, best_r = None, 0
     for r in range(restarts):
         cand = (float(obj[r]), tuple(rows[r].tolist()), tuple(cols[r].tolist()))

@@ -30,6 +30,17 @@ def test_tracer_finds_and_restores_every_binding():
     assert all(getattr(mod, attr) is fn for mod, attr, fn in before)
 
 
+def test_exact_scan_calls_top_indices_through_its_binding():
+    # the traced run averages over `selector.top_indices` spans, and the
+    # exact scan, run or probed in every workload, is what makes them
+    from subscan import Dims, generate_null, scan_exact
+
+    tracing = _tracing()
+    with tracing.Tracer() as tracer:
+        scan_exact(generate_null(Dims(12, 12, 3, 3), 1), 3, 3)
+    assert tracer.named("selector.top_indices")
+
+
 def test_fan_out_helpers_exist():
     assert parallel.map_indexed(lambda i: i * i, 4, workers=2) == [0, 1, 4, 9]
     assert list(parallel.map_windowed(str, range(3), workers=2)) == ["0", "1", "2"]

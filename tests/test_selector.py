@@ -133,13 +133,14 @@ def _two_blocks(shape, first, second):
 
 
 # the 25,000th and 25,001st of the 27,405 subsets of 4 out of 30, in lex
-# order: the last subset of the first chunk and the first of the second
+# order, where an earlier exact scan split its enumeration into two chunks
 _LAST, _FIRST = itertools.islice(itertools.combinations(range(30), 4), 24_999, 25_001)
 
 
 def _two_chunk_ties():
-    """{0,1} matrices whose exact scan enumerates 27,405 subsets in two chunks,
-    rows on 30x40 and (transposed) columns on 40x30, n = m = 4."""
+    """{0,1} matrices with dense ties, with (n, m), checked against the integer
+    oracle.  The first twelve enumerate the 27,405 subsets of 4 rows of 30x40
+    or (transposed) 4 columns of 40x30."""
     low, high = (0, 1, 2, 3), (10, 11, 12, 13)
     cases = [
         # one maximiser per chunk: the rows tie-break keeps the first chunk's
@@ -159,46 +160,91 @@ def _two_chunk_ties():
     late = np.where(np.arange(30) < 12, 0.05, 0.5)
     cases.append(("rows-late", (rng.random((30, 40)) < late[:, None]) * 1.0))
     cases.append(("cols-late", (rng.random((40, 30)) < late[None, :]) * 1.0))
-    return [pytest.param(Y, id=name) for name, Y in cases]
+    # nothing can be pruned: every subset ties
+    cases += [("all-ones", np.ones((30, 40))), ("all-ones-transposed", np.ones((40, 30))),
+              ("all-zeros", np.zeros((30, 40)))]
+    params = [pytest.param(Y, 4, 4, id=name) for name, Y in cases]
+    # the whole matrix (the top-k axis takes every index), and n = 1 or m = 1
+    # with either axis enumerated
+    rng = gaussian_stream(4747)
+    for N, M, n, m in [(6, 5, 6, 5), (12, 7, 1, 3), (7, 12, 3, 1), (30, 6, 1, 2), (6, 30, 2, 1), (9, 9, 1, 9)]:
+        params.append(pytest.param((rng.random((N, M)) < 0.5) * 1.0, n, m, id=f"{N}x{M}-n{n}-m{m}"))
+    return params
 
 
-@pytest.mark.parametrize("Y", _two_chunk_ties())
-def test_exact_ties_across_chunk_boundaries(monkeypatch, Y):
-    import subscan.selector as sel
-
-    blocks = []
-    chunks = sel._chunks
-
-    def counted(*args):
-        for block in chunks(*args):
-            blocks.append(len(block))
-            yield block
-
-    monkeypatch.setattr(sel, "_chunks", counted)
+@pytest.mark.parametrize("Y, n, m", _two_chunk_ties())
+def test_exact_ties_across_chunk_boundaries(Y, n, m):
     N, M = Y.shape
-    objective, rows, cols = _integer_oracle(Y, 4, 4)
+    objective, rows, cols = _integer_oracle(Y, n, m)
     for workers in (1, 2):
-        blocks.clear()
-        res = scan_exact(Observation(Y, Dims(N, M, 4, 4)), 4, 4, workers=workers)
-        assert blocks == [25_000, 2_405]
+        res = scan_exact(Observation(Y, Dims(N, M, n, m)), n, m, workers=workers)
         assert (res.support.rows, res.support.cols, res.objective) == (rows, cols, objective)
 
 
-def test_one_chunk_exact_scan_starts_no_threads(monkeypatch):
+@pytest.mark.parametrize("transposed", [False, True])
+def test_lex_earlier_maximiser_ties_incumbent(transposed):
     import subscan.selector as sel
 
-    seen = []
-    windowed = sel.map_windowed
+    Y = _two_blocks((30, 40), ((10, 11, 12, 13), range(4)), ((20, 21, 22, 23), range(4, 8)))
+    Y[np.ix_((0, 1, 2, 3), range(30, 34))] = 1.0  # a lex-earlier block with the same sum
+    Y = Y.T.copy() if transposed else Y
+    objective, rows, cols = _integer_oracle(Y, 4, 4)
+    assert sel._incumbent(Y.T if transposed else Y, 4, 4) == objective
+    res = scan_exact(Observation(Y, Dims(*Y.shape, 4, 4)), 4, 4)
+    assert (res.support.rows, res.support.cols, res.objective) == (rows, cols, objective)
 
-    def record(fn, items, workers=None):
-        seen.append(workers)
-        return windowed(fn, items, workers)
 
-    monkeypatch.setattr(sel, "map_windowed", record)
-    one = scan_exact(noise_obs(20, 20, 3, n=3, m=3), 3, 3, workers=2)  # 1,140 subsets
-    scan_exact(noise_obs(30, 40, 3, n=4, m=4), 4, 4, workers=2)  # 27,405: two chunks
-    assert seen == [1, 2]
-    assert one == scan_exact(noise_obs(20, 20, 3, n=3, m=3), 3, 3, workers=1)
+def _rounding_ties():
+    """Matrices whose maximiser ties another support or the pruning bound
+    only up to float rounding, with (n, m)."""
+    # (0.1 + 0.2) + 0.3 is one ulp above 0.1 + (0.2 + 0.3): the bound of the
+    # prefix (0,) adds the two largest later rows first and comes out below
+    # the objective of rows (0, 1, 2), the only maximiser
+    one_column = np.zeros((5, 12))  # C(5, 3) < C(12, 1): row sets are enumerated
+    one_column[:3, 2] = (0.1, 0.2, 0.3)
+    cases = [("bound-below-objective", one_column, 3, 1),
+             ("bound-below-objective-transposed", one_column.T.copy(), 1, 3)]
+    rng = gaussian_stream(4545)
+    for i in range(6):
+        shape = (8, 9) if i % 2 else (9, 8)
+        values = rng.choice([0.1, 0.2, 0.3, 0.7, -0.1], size=shape)
+        n, m = (2, 3) if i < 3 else (3, 2)
+        cases.append((f"tenths-{i}", values, n, m))
+    for scale in (1e150, 1e-150):
+        for i, (N, M, n, m) in enumerate([(10, 9, 3, 3), (9, 12, 2, 4), (14, 7, 4, 2)]):
+            cases.append((f"gauss-{scale:g}-{i}", gaussian_stream(4646 + i).standard_normal((N, M)) * scale, n, m))
+    return [pytest.param(Y, n, m, id=name) for name, Y, n, m in cases]
+
+
+@pytest.mark.parametrize("Y, n, m", _rounding_ties())
+def test_exact_matches_brute_force_under_rounding(Y, n, m):
+    obs = Observation(Y, Dims(*Y.shape, n, m))
+    exact, brute = scan_exact(obs, n, m), scan_brute_force(obs, n, m)
+    assert (exact.support, exact.objective) == (brute.support, brute.objective)
+
+
+def test_exact_scan_survives_an_emptied_block():
+    # one of 800 null and planted scans tried where the pre-filter drops every
+    # child of a block; pinned to the result of the full enumeration this
+    # branch and bound replaced
+    res = scan_exact(generate_null(Dims(60, 60, 4, 4), 43), 4, 4)
+    assert (res.support.rows, res.support.cols, res.objective) == (
+        (2, 22, 49, 57), (8, 14, 40, 47), 27.88946476603337
+    )
+
+
+def test_exact_scan_starts_no_threads(monkeypatch):
+    import threading
+
+    import subscan.parallel as par
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single exact scan fanned out")
+
+    monkeypatch.setattr(par, "map_windowed", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    obs = noise_obs(30, 40, 3, n=4, m=4)  # 27,405 row sets
+    assert scan_exact(obs, 4, 4, workers=2) == scan_exact(obs, 4, 4, workers=1)
 
 
 def test_top_indices_matches_lexsort_reference():
@@ -441,6 +487,15 @@ def test_heuristic_pinned_results(make, n, m, restarts, seed, rows, cols, iterat
         rows, cols, iterations, objective
     )
     assert res.restarts_used == restarts
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 + 5])
+def test_restart_rows_match_their_streams(seed):
+    from subscan.selector import _restart_rows
+
+    for N, n in ((50, 5), (7, 7), (300, 2)):
+        expected = [np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False)) for r in range(41)]
+        assert np.array_equal(_restart_rows(N, n, 41, seed), np.array(expected))
 
 
 def test_heuristic_restart_guard():
