@@ -223,17 +223,17 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _load_calibration(path) -> detection.DetectionCalibration:
-    raw = json.loads(Path(path).read_text())
     # each field has the kind of the calibrate option it echoes
     kinds = dict(VERBS["calibrate"][2], scan_crit=Option(FLOAT), linear_crit=Option(FLOAT))
-    try:
+    try:  # an unreadable file is an OSError, outside this clause
+        raw = json.loads(Path(path).read_text())
         data = raw.get("result", raw)
         values = {f.name: data[f.name] for f in fields(detection.DetectionCalibration)}
         for key, value in values.items():
             if key in kinds and not kinds[key].kind.accepts(value):
                 raise TypeError(f"{key} must be {kinds[key].kind.what}, got {value!r}")
         return detection.DetectionCalibration(**dict(values, dims=Dims(**values["dims"])))
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, KeyError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed calibration file {path}: {exc}") from exc
 
 

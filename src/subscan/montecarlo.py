@@ -124,8 +124,8 @@ def scan_trials(dims: Dims, planted: Support, a: float, trials: int, seed: int, 
                    seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget, workers=1)
         return outcome(obs, res)
 
-    # only the exact scan's large gathers release the GIL for long enough to
-    # pay for a thread; heuristic trials run faster serially
+    # heavy exact trials gain from a second thread and light ones, such as
+    # 40x40 with n = m = 4, lose; heuristic trials run faster serially
     return map_indexed(one_trial, trials, workers if method == "exact" else 1)
 
 
@@ -138,15 +138,10 @@ def estimate_risk(
     restarts: int = 20,
     budget: int = EXACT_ENUMERATION_BUDGET,
     workers: int | None = None,
-    support: Support | None = None,
 ) -> RiskEstimate:
-    """Fraction of trials in which the selector misses the planted support.
-
-    The planted support defaults to the canonical top-left block; passing
-    another one is only useful for checking that the estimate is invariant to
-    the block's location.
-    """
-    planted = support if support is not None else canonical_support(dims)
+    """Fraction of trials in which the selector misses the planted canonical
+    top-left block."""
+    planted = canonical_support(dims)
     nm = dims.n * dims.m
 
     def outcome(obs, res) -> tuple[bool, float]:

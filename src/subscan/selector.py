@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .model import Observation, Support
-from .streams import gaussian_stream  # noqa: F401  perfbench's tracer rebinds it here
-from .streams import rekey
+from .streams import gaussian_stream
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -128,13 +127,14 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
     """Exact maximizer via single-axis enumeration plus top-k on the other axis.
 
     A lexicographic depth-first branch-and-bound over the k-subsets of the
-    enumerated axis.  A prefix carries its running sum, and each child adds one
-    row in index order, so a completed sum is bit-identical to
-    W[subset].sum(axis=1).  A prefix is pruned when even the best r rows left
-    per column cannot lift it to the incumbent; the slack covers rounding, so
-    every maximizer survives, and the tie-break is settled among them.
-    Children are made `block` at a time (about 2**18 floats of sums), so
-    memory stays bounded where nothing prunes.
+    enumerated axis, from the empty prefix down.  A prefix carries its first
+    admissible next row and its running sum, which starts at -0.0, the additive
+    identity; each child adds one row, so a completed sum is bit-identical to
+    adding its rows in index order.  A prefix is pruned when even the best r
+    rows left per column cannot lift it to the incumbent; the slack covers
+    rounding, so every maximizer survives, and the tie-break is settled among
+    them.  Children are made at most `block` at a time (about 2**18 floats of
+    sums), so memory stays bounded where nothing prunes.
     """
     N, M = Y.shape
     count_rows = math.comb(N, n)
@@ -150,11 +150,11 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
     k, t = (m, n) if transposed else (n, m)
     K, L = W.shape
     block = max(256, 2**18 // L)
-    tops = _suffix_tops(W, k - 1)
+    tops = _suffix_tops(W, k)
     # a generous multiple of the rounding error of a sum of k*t entries
     slack = (k + t + 2) * k * t * float(np.abs(W).max()) * 2.0**-50
     floor = _incumbent(W, k, t) - slack if k > 1 else -np.inf
-    gain = _top_sums((W + tops[:-1, 1:]).reshape(-1, L), t).reshape(k - 1, K)
+    gain = _top_sums((W + tops[:-1, 1:]).reshape(-1, L), t).reshape(k, K)
     best = None
 
     def score(subsets, sums):
@@ -178,37 +178,30 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
             best = cand
             floor = max(floor, best[0] - slack)
 
-    def visit(subsets, sums):
+    def visit(subsets, next_row, sums):
         d = subsets.shape[1]
-        if not len(subsets):
-            return
         if d == k:
             score(subsets, sums)
             return
-        bounds = tops[k - d, subsets[:, -1] + 1]
+        bounds = tops[k - d, next_row]
         bounds += sums
         keep = ~(_top_sums(bounds, t) < floor)
-        subsets, sums = subsets[keep], sums[keep]
+        subsets, next_row, sums = subsets[keep], next_row[keep], sums[keep]
         head = _top_sums(sums.copy(), t)
         # a child at depth d + 1 still needs k - d - 1 rows after its own
-        counts = K - k + d - subsets[:, -1]
-        ends = np.cumsum(counts)
-        lo = 0
-        while lo < len(subsets):
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + block, "right")))
-            parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            first = ends[parent] - counts[parent]
-            rows = np.arange(ends[lo] - counts[lo], ends[hi - 1]) - first + subsets[parent, -1] + 1
+        admissible = np.arange(K - k + d + 1)
+        step = max(1, block // len(admissible))
+        for lo in range(0, len(subsets), step):
+            parent, rows = np.nonzero(next_row[lo:lo + step, None] <= admissible)
+            parent += lo
             ok = ~(head[parent] + gain[k - d - 1, rows] < floor)
             parent, rows = parent[ok], rows[ok]
-            child = W[rows]
-            child += sums[parent]
-            visit(np.column_stack([subsets[parent], rows]), child)
-            lo = hi
+            if len(rows):
+                child = W[rows]
+                child += sums[parent]
+                visit(np.column_stack([subsets[parent], rows]), rows + 1, child)
 
-    for lo in range(0, K - k + 1, block):
-        start = np.arange(lo, min(lo + block, K - k + 1))
-        visit(start[:, None], W[start])
+    visit(np.empty((1, 0), np.intp), np.zeros(1, np.intp), np.full((1, L), -0.0))
     return best
 
 
@@ -297,14 +290,11 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
 
 def _restart_rows(N: int, n: int, restarts: int, seed: int) -> np.ndarray:
     """Initial row set of each restart r: n of N drawn without replacement from
-    gaussian_stream(seed, (r,)), sorted.  One Philox is re-keyed per restart."""
-    bits = np.random.Philox(0)
-    draw = np.random.Generator(bits)
-    init = []
-    for r in range(restarts):
-        rekey(bits, seed, (r,))
-        init.append(np.sort(draw.choice(N, size=n, replace=False)))
-    return np.array(init)
+    gaussian_stream(seed, (r,)), sorted."""
+    return np.array([
+        np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
+        for r in range(restarts)
+    ])
 
 
 def scan_heuristic(

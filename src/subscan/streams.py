@@ -26,18 +26,6 @@ def gaussian_stream(seed: int, path: tuple[int, ...] = ()) -> np.random.Generato
     return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
-def rekey(bits: np.random.Philox, seed: int, path: tuple[int, ...]) -> None:
-    """Reset `bits` to the state gaussian_stream(seed, path) starts from: the
-    same key, counter 0 and an empty buffer.  A Generator over `bits` then
-    draws what that stream draws, for less than building a new one costs."""
-    zero = np.zeros(4, np.uint64)
-    key = _sequence(seed, path).generate_state(2, np.uint64)
-    bits.state = {
-        "bit_generator": "Philox", "state": {"counter": zero, "key": key},
-        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-
-
 def derive_seed(seed: int, path: tuple[int, ...]) -> int:
     """Fold (seed, *path) into a single 64-bit integer usable as a child seed."""
     return int(_sequence(seed, path).generate_state(1, np.uint64)[0])

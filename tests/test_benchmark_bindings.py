@@ -4,6 +4,8 @@ refactor that drops one of those names breaks only that run.  These tests
 catch it here."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from subscan import parallel
@@ -44,3 +46,25 @@ def test_exact_scan_calls_top_indices_through_its_binding():
 def test_fan_out_helpers_exist():
     assert parallel.map_indexed(lambda i: i * i, 4, workers=2) == [0, 1, 4, 9]
     assert list(parallel.map_windowed(str, range(3), workers=2)) == ["0", "1", "2"]
+
+
+def test_traced_run_passes_its_checks(tmp_path):
+    # `run.py --trace 1` calls subscan with keywords (such as `workers=`) that
+    # only this run passes; a fresh process keeps its tracer and environment
+    # apart from the other tests
+    code = f"""
+import sys
+from pathlib import Path
+sys.path[:0] = [{str(TRACING.parent)!r}, {str(TRACING.parents[1] / "src")!r}]
+import run
+from workloads import WORKLOADS
+
+run.OUT = Path({str(tmp_path / "out")!r})
+wl = WORKLOADS["risk-exact"](1, Path({str(tmp_path / "work")!r}))
+wl.workdir.mkdir()
+result = run.Run(wl)
+run.traced(wl, result)
+assert not result.problems and not result.failed, (result.problems, result.failed)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

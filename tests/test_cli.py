@@ -7,6 +7,7 @@ from subscan.cli import (
     EXIT_BUDGET,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -446,18 +447,33 @@ _CALIBRATION = {"alpha": 0.1, "scan_crit": 1.0, "linear_crit": 1.0, "trials": 10
                 "restarts": 2}
 
 
-@pytest.mark.parametrize("body", [
-    [1, 2],
-    dict(_CALIBRATION, dims={"N": 6}),
-    dict(_CALIBRATION, scan_crit="x"),
-    dict(_CALIBRATION, restarts="3"),
-], ids=["not_an_object", "dims_missing_keys", "scan_crit_string", "restarts_string"])
-def test_malformed_calibration_is_usage_error(tmp_path, capsys, body):
+def _detect_with_calibration(tmp_path, capsys, text):
     matrix = tmp_path / "m.csv"
     run_cli(["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",
              "--out", str(matrix)], capsys)
     calib = tmp_path / "calib.json"
-    calib.write_text(json.dumps(body))
+    if text is not None:
+        calib.write_text(text)
     code, _, err = run_cli(["detect", "--matrix", str(matrix), "--calibration", str(calib)], capsys)
+    return code, json.loads(err)
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([1, 2]),
+    json.dumps(dict(_CALIBRATION, dims={"N": 6})),
+    json.dumps(dict(_CALIBRATION, scan_crit="x")),
+    json.dumps(dict(_CALIBRATION, restarts="3")),
+    json.dumps({k: v for k, v in _CALIBRATION.items() if k != "scan_crit"}),
+    "{not json",
+], ids=["not_an_object", "dims_missing_keys", "scan_crit_string", "restarts_string",
+        "missing_field", "not_json"])
+def test_malformed_calibration_is_usage_error(tmp_path, capsys, text):
+    code, err = _detect_with_calibration(tmp_path, capsys, text)
     assert code == EXIT_USAGE
-    assert "malformed calibration file" in json.loads(err)["detail"]
+    assert "malformed calibration file" in err["detail"]
+
+
+def test_missing_calibration_file_is_io_error(tmp_path, capsys):
+    code, err = _detect_with_calibration(tmp_path, capsys, None)
+    assert code == EXIT_IO
+    assert err["error"] == "io"

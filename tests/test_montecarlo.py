@@ -18,6 +18,8 @@ from subscan import (
     vector_risk,
     wilson_interval,
 )
+from subscan.montecarlo import scan_trials
+from subscan.selector import EXACT_ENUMERATION_BUDGET
 from subscan.thresholds import critical_value
 
 Z = 1.959963984540054  # standard normal 0.975 quantile
@@ -103,12 +105,12 @@ def test_risk_does_not_depend_on_planted_location():
     d = Dims(20, 20, 3, 3)
     a = critical_value(d)
     corner = estimate_risk(d, a, 150, seed=31, selector_method="exact")
-    middle = estimate_risk(
-        d, a, 150, seed=31, selector_method="exact",
-        support=make_support(d, [7, 11, 16], [2, 9, 14]),
-    )
-    half = (corner.ci_high - corner.ci_low) / 2 + (middle.ci_high - middle.ci_low) / 2
-    assert abs(corner.risk - middle.risk) <= 2 * half
+    planted = make_support(d, [7, 11, 16], [2, 9, 14])
+    misses = scan_trials(d, planted, a, 150, 31, lambda obs, res: res.support != planted,
+                         method="exact", restarts=20, budget=EXACT_ENUMERATION_BUDGET, workers=None)
+    low, high = wilson_interval(sum(misses), 150)
+    half = (corner.ci_high - corner.ci_low) / 2 + (high - low) / 2
+    assert abs(corner.risk - sum(misses) / 150) <= 2 * half
 
 
 def test_sweep_single_point_composition():

@@ -210,6 +210,13 @@ def _rounding_ties():
         values = rng.choice([0.1, 0.2, 0.3, 0.7, -0.1], size=shape)
         n, m = (2, 3) if i < 3 else (3, 2)
         cases.append((f"tenths-{i}", values, n, m))
+    # every block sums to a signed zero, so the tie-break alone decides
+    zero_column = np.zeros((6, 8))
+    zero_column[:, 0] = -0.0
+    signed = [("negative-zero-column", zero_column, 2, 3)]
+    signed += [(f"signed-zeros-{i}", rng.choice([0.0, -0.0], size=(7, 9)), 3, 2) for i in range(2)]
+    for name, Y, n, m in signed:  # C(6, 2) < C(8, 3) and C(7, 3) < C(9, 2): rows are enumerated
+        cases += [(name, Y, n, m), (f"{name}-transposed", Y.T.copy(), m, n)]
     for scale in (1e150, 1e-150):
         for i, (N, M, n, m) in enumerate([(10, 9, 3, 3), (9, 12, 2, 4), (14, 7, 4, 2)]):
             cases.append((f"gauss-{scale:g}-{i}", gaussian_stream(4646 + i).standard_normal((N, M)) * scale, n, m))
