@@ -167,7 +167,7 @@ def _read_config(path, verb: str) -> dict:
         values = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ValidationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"unreadable config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -233,7 +233,7 @@ def _load_calibration(path) -> detection.DetectionCalibration:
             if key in kinds and not kinds[key].kind.accepts(value):
                 raise TypeError(f"{key} must be {kinds[key].kind.what}, got {value!r}")
         return detection.DetectionCalibration(**dict(values, dims=Dims(**values["dims"])))
-    except (AttributeError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (AttributeError, TypeError, KeyError, ValueError) as exc:
         raise ValidationError(f"malformed calibration file {path}: {exc}") from exc
 
 
@@ -388,7 +388,7 @@ VERBS = {
         "seed": Option(INT, 0),
         **_OUT,
     }),
-    "selftest": ("run reduced-scale oracle and invariance suites", None, {}),
+    "selftest": ("check the nine release properties at acceptance scale", None, {}),
 }
 
 

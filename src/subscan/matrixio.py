@@ -55,10 +55,10 @@ def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
     meta_path = Path(meta_path) if meta_path is not None else default_meta_path(matrix_path)
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"unreadable metadata file {meta_path}: {exc}") from exc
     for key in ("N", "M", "n", "m"):
-        if key not in meta:
+        if not isinstance(meta, dict) or key not in meta:
             raise ValidationError(f"metadata file {meta_path} missing key {key!r}")
     dims = Dims(meta["N"], meta["M"], meta["n"], meta["m"])
     try:

@@ -1,156 +1,155 @@
-"""Reduced-scale oracle and invariance checks behind `subscan selftest`.
-
-Nine properties on small seeded instances: the exact scan against brute
-force, the top-m column reduction, shift, scale and permutation behaviour of
-the selected support, the threshold identities, the Wilson interval
-endpoints, worker-count determinism and the scan/likelihood equivalence.
-"""
+"""The nine release properties behind `subscan selftest` and the acceptance tests:
+one function each, at acceptance scale, returning its failure count or its list
+of problems, so that 0 or an empty list means the property holds."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from .detection import calibrate
 from .model import Dims, Observation, make_support
-from .montecarlo import estimate_risk, wilson_interval
-from .selector import log_lr, scan_brute_force, scan_exact
+from .montecarlo import _Z95, estimate_risk, max_gauss_exceedance, sweep, vector_risk, wilson_interval
+from .selector import log_lr, scan_brute_force, scan_exact, top_indices
 from .streams import gaussian_stream
 from .thresholds import compute, critical_value
 
 
-def _random_instances(count, seed, max_dim=7):
+def _instances(count: int, seed: int, max_dim: int = 8):
+    """`count` seeded Gaussian noise observations, 3 <= N, M <= max_dim, n, m <= 3."""
     rng = gaussian_stream(seed)
     for _ in range(count):
-        N = int(rng.integers(3, max_dim + 1))
-        M = int(rng.integers(3, max_dim + 1))
-        n = int(rng.integers(1, min(3, N) + 1))
-        m = int(rng.integers(1, min(3, M) + 1))
+        N, M = int(rng.integers(3, max_dim + 1)), int(rng.integers(3, max_dim + 1))
+        n, m = int(rng.integers(1, min(3, N) + 1)), int(rng.integers(1, min(3, M) + 1))
+        yield Observation(rng.standard_normal((N, M)), Dims(N, M, n, m))
+
+
+def _support(data, dims: Dims):
+    return scan_exact(Observation(data, dims), dims.n, dims.m).support
+
+
+def oracle_mismatches() -> int:
+    """Of 500 instances, those where the exact scan and brute force differ."""
+    mismatches = 0
+    for obs in _instances(500, 1001):
+        exact, brute = (scan(obs, obs.dims.n, obs.dims.m) for scan in (scan_exact, scan_brute_force))
+        mismatches += (exact.support, exact.objective) != (brute.support, brute.objective)
+    return mismatches
+
+
+def column_reduction_mismatches() -> int:
+    """Of all row sets and m in 200 matrices up to 6x6, those where `top_indices` misses the best columns."""
+    rng = gaussian_stream(1002)
+    mismatches = 0
+    for _ in range(200):
+        N, M = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         Y = rng.standard_normal((N, M))
-        yield Observation(Y, Dims(N, M, n, m)), n, m
-
-
-def _st_oracle() -> bool:
-    for obs, n, m in _random_instances(40, 101):
-        a = scan_exact(obs, n, m)
-        b = scan_brute_force(obs, n, m)
-        if a.support != b.support or a.objective != b.objective:
-            return False
-    return True
-
-
-def _st_decomposition() -> bool:
-    rng = gaussian_stream(102)
-    for _ in range(12):
-        Y = rng.standard_normal((5, 5))
-        for size in range(1, 6):
-            for rows in itertools.combinations(range(5), size):
+        for size in range(1, N + 1):
+            for rows in itertools.combinations(range(N), size):
                 colsum = Y[list(rows)].sum(axis=0)
-                for m in range(1, 6):
-                    best = max(
-                        sum(colsum[list(cols)]) for cols in itertools.combinations(range(5), m)
-                    )
-                    top = np.sort(colsum)[5 - m:].sum()
-                    if not np.isclose(best, top, rtol=0, atol=1e-12):
-                        return False
-    return True
+                for m in range(1, M + 1):
+                    subsets = list(itertools.combinations(range(M), m))
+                    sums = [colsum[list(c)].sum() for c in subsets]
+                    top = tuple(int(j) for j in top_indices(colsum, m))
+                    mismatches += top != subsets[int(np.argmax(sums))] or colsum[list(top)].sum() != max(sums)
+    return mismatches
 
 
-def _st_shift_scale() -> tuple[bool, bool]:
-    shift_ok = scale_ok = True
-    for obs, n, m in _random_instances(25, 103):
-        base = scan_exact(obs, n, m)
-        shifted = Observation(obs.data + 3.25, obs.dims)
-        scaled = Observation(obs.data * 7.5, obs.dims)
-        shift_ok &= scan_exact(shifted, n, m).support == base.support
-        scale_ok &= scan_exact(scaled, n, m).support == base.support
-    return shift_ok, scale_ok
+def shift_failures() -> int:
+    """Of 200 instances, those whose support moves when 4.75 is added to every entry."""
+    return sum(_support(o.data + 4.75, o.dims) != _support(o.data, o.dims) for o in _instances(200, 1011, 7))
 
 
-def _st_permutation() -> bool:
-    rng = gaussian_stream(104)
-    for obs, n, m in _random_instances(25, 105):
-        base = scan_exact(obs, n, m)
-        N, M = obs.dims.shape
-        sigma = rng.permutation(N)
-        tau = rng.permutation(M)
-        permuted = Observation(obs.data[np.ix_(sigma, tau)], obs.dims)
-        res = scan_exact(permuted, n, m)
-        rows = tuple(sorted(int(np.flatnonzero(sigma == r)[0]) for r in base.support.rows))
-        cols = tuple(sorted(int(np.flatnonzero(tau == c)[0]) for c in base.support.cols))
-        if (res.support.rows, res.support.cols) != (rows, cols):
-            return False
-    return True
+def scale_failures() -> int:
+    """Of 200 instances, those whose support moves when every entry is scaled by 3.5 or 0.125."""
+    return sum(any(_support(o.data * c, o.dims) != _support(o.data, o.dims) for c in (3.5, 0.125))
+               for o in _instances(200, 1011, 7))
 
 
-def _st_thresholds() -> bool:
-    for (N, M, n, m) in ((1000, 1000, 10, 10), (60, 60, 6, 6), (50, 40, 5, 3)):
-        dims = Dims(N, M, n, m)
-        for a in (0.25, 1.0, 3.0):
-            th = compute(dims, a)
-            if th.B != min(th.A1, th.A2, th.A):
-                return False
-        a_star = critical_value(dims)
-        if abs(compute(dims, a_star).B - 1.0) > 1e-12:
-            return False
-        sw = compute(Dims(M, N, m, n), 1.0)
-        th = compute(dims, 1.0)
-        if sw.A1 != th.A2 or sw.A2 != th.A1 or sw.A != th.A:
-            return False
-    return True
+def permutation_failures() -> int:
+    """Of 200 instances, those whose support does not follow a random row and column permutation."""
+    rng = gaussian_stream(1010)
+    failures = 0
+    for obs in _instances(200, 1011, 7):
+        base = _support(obs.data, obs.dims)
+        sigma, tau = rng.permutation(obs.dims.N), rng.permutation(obs.dims.M)
+        # row sigma[i] moves to row i, so row r lands at argsort(sigma)[r]
+        moved = make_support(obs.dims, np.argsort(sigma)[list(base.rows)], np.argsort(tau)[list(base.cols)])
+        failures += _support(obs.data[np.ix_(sigma, tau)], obs.dims) != moved
+    return failures
 
 
-def _st_wilson() -> bool:
-    z = 1.959963984540054
-    for trials in (50, 200):
+def threshold_problems() -> list[str]:
+    """Where B = min(A1, A2, A), B(a*) = 1 or the row/column swap symmetry fails."""
+    problems = []
+    for dims in (Dims(1000, 1000, 10, 10), Dims(60, 60, 6, 6), Dims(47, 83, 3, 9),
+                 Dims(10**6, 14, 10**5, 3), Dims(50, 40, 5, 3)):
+        if any(th.B != min(th.A1, th.A2, th.A) for th in (compute(dims, a) for a in (0.3, 1.0, 4.2))):
+            problems.append(f"min-composition at {dims}")
+        if abs(compute(dims, critical_value(dims)).B - 1.0) > 1e-12:
+            problems.append(f"B(a*) != 1 at {dims}")
+        sw, th = compute(Dims(dims.M, dims.N, dims.m, dims.n), 1.0), compute(dims, 1.0)
+        if (sw.A1, sw.A2, sw.A, sw.B, sw.det_quantity) != (th.A2, th.A1, th.A, th.B, th.det_quantity):
+            problems.append(f"symmetry at {dims}")
+    return problems
+
+
+def wilson_failures() -> int:
+    """Endpoints of the 0- and all-failure intervals at 50, 200 and 1000 trials off their closed forms."""
+    z2 = _Z95 * _Z95
+    failures = 0
+    for trials in (50, 200, 1000):
         low, high = wilson_interval(0, trials)
-        if low != 0.0 or abs(high - z * z / (trials + z * z)) > 1e-12:
-            return False
+        failures += low != 0.0 or not math.isclose(high, z2 / (trials + z2), rel_tol=1e-12)
         low, high = wilson_interval(trials, trials)
-        if high != 1.0 or abs(low - trials / (trials + z * z)) > 1e-12:
-            return False
-    return True
+        failures += high != 1.0 or not math.isclose(low, trials / (trials + z2), rel_tol=1e-12)
+    return failures
 
 
-def _st_workers() -> bool:
-    dims = Dims(20, 20, 3, 3)
-    one = estimate_risk(dims, 2.0, 12, 7, selector_method="heuristic", restarts=5, workers=1)
-    many = estimate_risk(dims, 2.0, 12, 7, selector_method="heuristic", restarts=5, workers=3)
-    return one == many
+def worker_dependent() -> list[str]:
+    """The entry points whose result differs between 1, 4 and 8 workers."""
+    dims, small = Dims(60, 60, 6, 6), Dims(20, 20, 3, 3)
+    runs = {
+        "risk": lambda w: estimate_risk(dims, critical_value(dims), 30, 5, "heuristic", restarts=10, workers=w),
+        "sweep": lambda w: sweep(small, [0.5, 1.5], 20, 6, "exact", workers=w),
+        "calibration": lambda w: calibrate(small, 0.1, 1000, 7, method="heuristic", restarts=4, workers=w),
+        "vector": lambda w: vector_risk(2000, 5, 4.0, 50, 8, workers=w),
+        "maxgauss": lambda w: max_gauss_exceedance(1000, 1.0, 200, 9, workers=w),
+    }
+    return [name for name, result in runs.items() if not result(1) == result(4) == result(8)]
 
 
-def _st_likelihood() -> bool:
-    for obs, n, m in _random_instances(10, 106, max_dim=5):
-        best = scan_exact(obs, n, m)
-        N, M = obs.dims.shape
-        supports = [
-            make_support(Dims(N, M, n, m), rows, cols)
-            for rows in itertools.combinations(range(N), n)
-            for cols in itertools.combinations(range(M), m)
-        ]
-        loglrs = [log_lr(obs, s, 1.5) for s in supports]
-        if supports[int(np.argmin(loglrs))] != best.support:
-            return False
-    return True
+def likelihood_mismatches() -> int:
+    """Of 10 instances up to 5x5 at a = 0.9 and 1.5, those where the least log-LR support is not the scan's."""
+    mismatches = 0
+    for obs in _instances(10, 106, 5):
+        d = obs.dims
+        supports = [make_support(d, rows, cols) for rows in itertools.combinations(range(d.N), d.n)
+                    for cols in itertools.combinations(range(d.M), d.m)]
+        best = _support(obs.data, d)
+        for a in (0.9, 1.5):
+            mismatches += supports[int(np.argmin([log_lr(obs, s, a) for s in supports]))] != best
+    return mismatches
 
 
 def run() -> bool:
     """Print one line per property and a summary; True when every property holds."""
-    shift_ok, scale_ok = _st_shift_scale()
-    checks = [
-        ("exact scan matches brute force", _st_oracle()),
-        ("top-m column reduction equals exhaustive column search", _st_decomposition()),
-        ("shift invariance of the selected support", shift_ok),
-        ("scale invariance of the selected support", scale_ok),
-        ("permutation equivariance of the selected support", _st_permutation()),
-        ("threshold identities (min-composition, B(a*)=1, symmetry)", _st_thresholds()),
-        ("wilson interval endpoints", _st_wilson()),
-        ("worker-count determinism of risk estimates", _st_workers()),
-        ("scan maximizer equals likelihood maximizer", _st_likelihood()),
-    ]
     failed = 0
-    for name, ok in checks:
+    for name, prop in [
+        ("exact scan matches brute force", oracle_mismatches),
+        ("top-m column reduction equals exhaustive column search", column_reduction_mismatches),
+        ("shift invariance of the selected support", shift_failures),
+        ("scale invariance of the selected support", scale_failures),
+        ("permutation equivariance of the selected support", permutation_failures),
+        ("threshold identities (min-composition, B(a*)=1, symmetry)", threshold_problems),
+        ("wilson interval endpoints", wilson_failures),
+        ("worker-count determinism of risk estimates", worker_dependent),
+        ("scan maximizer equals likelihood maximizer", likelihood_mismatches),
+    ]:
+        ok = not prop()
         print(f"{'ok' if ok else 'FAIL'} - {name}")
         failed += not ok
-    print(f"{len(checks) - failed}/{len(checks)} properties passed")
+    print(f"{9 - failed}/9 properties passed")
     return failed == 0

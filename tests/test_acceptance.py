@@ -4,34 +4,27 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, not configured elsewhere.
 """
 
-import itertools
 import math
 import time
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 
 from subscan import (
     Dims,
-    Observation,
     SignalSpec,
     calibrate,
     canonical_support,
     classify,
-    compute,
     critical_value,
     detect,
-    estimate_risk,
     generate,
     generate_null,
     max_gauss_exceedance,
-    scan_brute_force,
-    scan_exact,
+    parallel,
+    selftest,
     sweep,
     vector_critical_value,
     vector_risk,
 )
-from subscan.selector import top_indices
-from subscan.streams import gaussian_stream
 
 
 def _verdict(num, ok, detail):
@@ -39,65 +32,22 @@ def _verdict(num, ok, detail):
     return ok
 
 
-def _random_small_instances(count, seed, max_dim=8, max_block=3):
-    rng = gaussian_stream(seed)
-    for _ in range(count):
-        N = int(rng.integers(3, max_dim + 1))
-        M = int(rng.integers(3, max_dim + 1))
-        n = int(rng.integers(1, min(max_block, N) + 1))
-        m = int(rng.integers(1, min(max_block, M) + 1))
-        yield Observation(rng.standard_normal((N, M)), Dims(N, M, n, m)), n, m
-
-
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
-    mismatches = 0
-    for obs, n, m in _random_small_instances(500, seed=1001):
-        exact = scan_exact(obs, n, m)
-        brute = scan_brute_force(obs, n, m)
-        if exact.support != brute.support or exact.objective != brute.objective:
-            mismatches += 1
+    mismatches = selftest.oracle_mismatches()
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 30.0
     assert _verdict(1, ok, f"exact==brute on 500 instances, {mismatches} mismatches, {elapsed:.1f}s (<30s)")
 
 
 def test_criterion_2_column_reduction():
-    rng = gaussian_stream(1002)
-    mismatches = 0
-    for _ in range(200):
-        N = int(rng.integers(2, 7))
-        M = int(rng.integers(2, 7))
-        Y = rng.standard_normal((N, M))
-        for size in range(1, N + 1):
-            for rows in itertools.combinations(range(N), size):
-                colsum = Y[list(rows)].sum(axis=0)
-                for m in range(1, M + 1):
-                    subsets = list(itertools.combinations(range(M), m))
-                    sums = [colsum[list(c)].sum() for c in subsets]
-                    exhaustive_best = subsets[int(np.argmax(sums))]
-                    reduced = tuple(int(j) for j in top_indices(colsum, m))
-                    if reduced != exhaustive_best or colsum[list(reduced)].sum() != max(sums):
-                        mismatches += 1
+    mismatches = selftest.column_reduction_mismatches()
     ok = mismatches == 0
     assert _verdict(2, ok, f"top-m reduction vs exhaustive columns on 200 matrices, {mismatches} mismatches")
 
 
 def test_criterion_3_threshold_identities():
-    problems = []
-    grid = [Dims(1000, 1000, 10, 10), Dims(60, 60, 6, 6), Dims(47, 83, 3, 9), Dims(10**6, 14, 10**5, 3)]
-    for dims in grid:
-        for a in (0.3, 1.0, 4.2):
-            th = compute(dims, a)
-            if th.B != min(th.A1, th.A2, th.A):
-                problems.append(f"min-composition at {dims}")
-        a_star = critical_value(dims)
-        if abs(compute(dims, a_star).B - 1.0) > 1e-12:
-            problems.append(f"B(a*) != 1 at {dims}")
-        sw = compute(Dims(dims.M, dims.N, dims.m, dims.n), 1.0)
-        th = compute(dims, 1.0)
-        if (sw.A1, sw.A2, sw.A, sw.B, sw.det_quantity) != (th.A2, th.A1, th.A, th.B, th.det_quantity):
-            problems.append(f"symmetry at {dims}")
+    problems = selftest.threshold_problems()
     N = 10**6
     for P in (0.05, 0.5):
         n = round(N**P)
@@ -172,54 +122,22 @@ def test_criterion_8_gaussian_maximum_bracket():
     assert _verdict(8, ok, f"P(t=0.8)={below} (>=0.95), P(t=1.2)={above} (<=0.05)")
 
 
-def test_criterion_9_worker_count_determinism():
-    dims = Dims(60, 60, 6, 6)
-    a = critical_value(dims)
-    risks = [
-        estimate_risk(dims, a, 30, seed=5, selector_method="heuristic", restarts=10, workers=w)
-        for w in (1, 4, 8)
-    ]
-    sweeps = [
-        sweep(Dims(20, 20, 3, 3), [0.5, 1.5], 20, seed=6, selector_method="exact", workers=w)
-        for w in (1, 4, 8)
-    ]
-    calibs = [
-        calibrate(Dims(20, 20, 3, 3), 0.1, 1000, seed=7, method="heuristic", restarts=4, workers=w)
-        for w in (1, 4, 8)
-    ]
-    vectors = [vector_risk(2000, 5, 4.0, 50, seed=8, workers=w) for w in (1, 4, 8)]
-    maxima = [max_gauss_exceedance(1000, 1.0, 200, seed=9, workers=w) for w in (1, 4, 8)]
-    ok = (
-        risks[0] == risks[1] == risks[2]
-        and sweeps[0] == sweeps[1] == sweeps[2]
-        and calibs[0] == calibs[1] == calibs[2]
-        and vectors[0] == vectors[1] == vectors[2]
-        and maxima[0] == maxima[1] == maxima[2]
-    )
-    assert _verdict(9, ok, "risk/sweep/calibration/vector/maxgauss bit-identical across 1, 4, 8 workers")
+def test_criterion_9_worker_count_determinism(monkeypatch):
+    # every pool the five entry points start, by worker count
+    pools = []
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", spy)
+    differing = selftest.worker_dependent()
+    ok = not differing and {4, 8} <= set(pools)
+    assert _verdict(9, ok, "risk/sweep/calibration/vector/maxgauss bit-identical across 1, 4, 8 workers"
+                    if ok else f"differ: {differing}; thread pools started: {pools}")
 
 
 def test_criterion_10_invariance_suite():
-    rng = gaussian_stream(1010)
-    shift_fail = scale_fail = perm_fail = 0
-    for obs, n, m in _random_small_instances(200, seed=1011, max_dim=7):
-        base = scan_exact(obs, n, m)
-        shifted = Observation(obs.data + 4.75, obs.dims)
-        if scan_exact(shifted, n, m).support != base.support:
-            shift_fail += 1
-        scaled = Observation(obs.data * 3.5, obs.dims)
-        if scan_exact(scaled, n, m).support != base.support:
-            scale_fail += 1
-        N, M = obs.dims.shape
-        sigma, tau = rng.permutation(N), rng.permutation(M)
-        permuted = Observation(obs.data[np.ix_(sigma, tau)], obs.dims)
-        res = scan_exact(permuted, n, m)
-        rows = tuple(sorted(int(np.flatnonzero(sigma == r)[0]) for r in base.support.rows))
-        cols = tuple(sorted(int(np.flatnonzero(tau == c)[0]) for c in base.support.cols))
-        if (res.support.rows, res.support.cols) != (rows, cols):
-            perm_fail += 1
-    ok = shift_fail == scale_fail == perm_fail == 0
-    assert _verdict(
-        10, ok,
-        f"shift/scale/permutation over 200 instances each: {shift_fail}/{scale_fail}/{perm_fail} failures",
-    )
+    shift, scale, perm = selftest.shift_failures(), selftest.scale_failures(), selftest.permutation_failures()
+    ok = shift == scale == perm == 0
+    assert _verdict(10, ok, f"shift/scale/permutation over 200 instances each: {shift}/{scale}/{perm} failures")

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from subscan import Dims, SignalSpec, canonical_support, generate, scan_exact
+from subscan import Dims, SignalSpec, canonical_support, generate, scan_exact, selftest
 from subscan.cli import (
     EXIT_BUDGET,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SELFTEST,
     EXIT_USAGE,
     main,
     parse_args,
@@ -219,6 +220,14 @@ def test_selftest_clean_build(capsys):
     assert "9/9 properties passed" in out
 
 
+def test_selftest_failing_property(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "wilson_failures", lambda: 1)
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == EXIT_SELFTEST
+    assert "FAIL - wilson interval endpoints" in out
+    assert "8/9 properties passed" in out
+
+
 def test_threads_flag_does_not_change_result(capsys):
     args = ["risk", "--N", "10", "--M", "10", "--n", "2", "--m", "2",
             "--a", "1.0", "--trials", "16", "--seed", "3", "--method", "exact"]
@@ -274,11 +283,18 @@ def test_worker_env_var_default(monkeypatch):
     assert resolve_workers(2) == 2  # explicit value wins
 
 
-@pytest.mark.parametrize("body", ["1,2\n3,x\n", "1,2\n3,4,5\n"], ids=["non_numeric", "ragged"])
-def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body):
+_NOT_UTF8 = b"\xff\xfe\x00garbage"
+_META = json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}).encode()
+
+
+@pytest.mark.parametrize("body, meta", [
+    ("1,2\n3,x\n", _META), ("1,2\n3,4,5\n", _META),
+    ("1,2\n3,4\n", _NOT_UTF8), ("1,2\n3,4\n", b"5"), ("1,2\n3,4\n", b"null"),
+], ids=["non_numeric", "ragged", "meta_not_utf8", "meta_number", "meta_null"])
+def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body, meta):
     matrix = tmp_path / "bad.csv"
     matrix.write_text(body)
-    (tmp_path / "bad.csv.meta.json").write_text(json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}))
+    (tmp_path / "bad.csv.meta.json").write_bytes(meta)
     code, _, err = run_cli(["select", "--matrix", str(matrix)], capsys)
     assert code == EXIT_USAGE
     payload = json.loads(err)
@@ -368,7 +384,7 @@ def test_verb_help_exits_zero(verb, capsys):
 
 def _config_run(tmp_path, capsys, argv, values):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(values))
+    config.write_bytes(values if isinstance(values, bytes) else json.dumps(values).encode())
     return run_cli(argv + ["--config", str(config)], capsys)
 
 
@@ -389,6 +405,8 @@ def _config_run(tmp_path, capsys, argv, values):
     (["select", "--matrix", "m.csv"], {"out": 3}, "--out must be a string, got 3"),
     (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"],
      {"method": "brute-force"}, "--method must be one of exact, heuristic"),
+    pytest.param(["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], _NOT_UTF8,
+                 "unreadable config file", id="not_utf8"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, argv, values, needle):
     code, out, err = _config_run(tmp_path, capsys, argv, values)
@@ -453,7 +471,7 @@ def _detect_with_calibration(tmp_path, capsys, text):
              "--out", str(matrix)], capsys)
     calib = tmp_path / "calib.json"
     if text is not None:
-        calib.write_text(text)
+        calib.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, _, err = run_cli(["detect", "--matrix", str(matrix), "--calibration", str(calib)], capsys)
     return code, json.loads(err)
 
@@ -465,8 +483,9 @@ def _detect_with_calibration(tmp_path, capsys, text):
     json.dumps(dict(_CALIBRATION, restarts="3")),
     json.dumps({k: v for k, v in _CALIBRATION.items() if k != "scan_crit"}),
     "{not json",
+    _NOT_UTF8,
 ], ids=["not_an_object", "dims_missing_keys", "scan_crit_string", "restarts_string",
-        "missing_field", "not_json"])
+        "missing_field", "not_json", "not_utf8"])
 def test_malformed_calibration_is_usage_error(tmp_path, capsys, text):
     code, err = _detect_with_calibration(tmp_path, capsys, text)
     assert code == EXIT_USAGE

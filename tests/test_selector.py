@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from subscan import (
     BudgetExceededError,
@@ -309,59 +307,6 @@ def test_shape_mismatch_guard():
         scan_heuristic(obs, 2, 5)
 
 
-# --- decomposition: best column set for fixed rows = top-m column sums
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6), st.integers(2, 6), st.integers(2, 6))
-def test_column_reduction_equals_exhaustive(seed, N, M):
-    Y = gaussian_stream(seed).standard_normal((N, M))
-    for size in range(1, N + 1):
-        for rows in itertools.combinations(range(N), size):
-            colsum = Y[list(rows)].sum(axis=0)
-            for m in range(1, M + 1):
-                subsets = list(itertools.combinations(range(M), m))
-                sums = [colsum[list(c)].sum() for c in subsets]
-                best = subsets[int(np.argmax(sums))]
-                top = tuple(int(j) for j in top_indices(colsum, m))
-                assert top == best
-                assert colsum[list(top)].sum() == max(sums)
-
-
-# --- invariances
-
-
-def test_shift_invariance():
-    for seed in range(30):
-        obs = noise_obs(7, 7, 400 + seed)
-        base = scan_exact(obs, 2, 2)
-        shifted = Observation(obs.data + 5.5, obs.dims)
-        assert scan_exact(shifted, 2, 2).support == base.support
-
-
-def test_scale_invariance():
-    for seed in range(30):
-        obs = noise_obs(7, 7, 500 + seed)
-        base = scan_exact(obs, 2, 2)
-        scaled = Observation(obs.data * 0.125, obs.dims)
-        assert scan_exact(scaled, 2, 2).support == base.support
-
-
-def test_permutation_equivariance():
-    rng = gaussian_stream(600)
-    for seed in range(30):
-        obs = noise_obs(7, 6, 700 + seed)
-        base = scan_exact(obs, 2, 2)
-        sigma = rng.permutation(7)
-        tau = rng.permutation(6)
-        permuted = Observation(obs.data[np.ix_(sigma, tau)], obs.dims)
-        res = scan_exact(permuted, 2, 2)
-        rows = tuple(sorted(int(np.flatnonzero(sigma == r)[0]) for r in base.support.rows))
-        cols = tuple(sorted(int(np.flatnonzero(tau == c)[0]) for c in base.support.cols))
-        assert res.support.rows == rows
-        assert res.support.cols == cols
-
-
 # --- heuristic
 
 
@@ -560,21 +505,6 @@ def test_log_lr_noiseless_planted_value():
     data[np.ix_(s.rows, s.cols)] = a
     obs = Observation(data, d)
     assert log_lr(obs, s, a) == pytest.approx(-a * a * 4 / 2.0, rel=1e-12)
-
-
-def test_scan_is_likelihood_maximizer():
-    # minimizing the log-LR over supports = maximizing the scan objective
-    for seed in range(10):
-        obs = noise_obs(5, 5, 100 + seed)
-        best = scan_exact(obs, 2, 2)
-        d = Dims(5, 5, 2, 2)
-        supports = [
-            make_support(d, rows, cols)
-            for rows in itertools.combinations(range(5), 2)
-            for cols in itertools.combinations(range(5), 2)
-        ]
-        values = [log_lr(obs, s, 0.9) for s in supports]
-        assert supports[int(np.argmin(values))] == best.support
 
 
 def test_log_lr_guards():
