@@ -205,8 +205,8 @@ def parse_args(argv) -> RunConfig:
             _dims(resolved)
         except ValidationError as exc:
             problems["dims"] = str(exc)
-    if verb == "vector-risk" and resolved["a"] is None and resolved["mult"] is None:
-        problems["a"] = "one of --a / --mult is required"
+    if verb == "vector-risk" and (resolved["a"] is None) == (resolved["mult"] is None):
+        problems["a"] = "exactly one of --a / --mult is required"
     if threads is not None and threads < 1:
         problems["threads"] = f"--threads must be >= 1, got {threads}"
     if problems:
@@ -304,11 +304,10 @@ def _sweep(opts, threads) -> dict:
 
 
 def _vector_risk(opts, threads) -> dict:
-    a = opts["a"]
-    if a is None:
-        a = opts["mult"] * vector_critical_value(opts["N"], opts["n"])
+    critical = vector_critical_value(opts["N"], opts["n"])
+    a = opts["a"] if opts["mult"] is None else opts["mult"] * critical
     est = vector_risk(opts["N"], opts["n"], a, opts["trials"], opts["seed"], workers=threads)
-    return dict(est.to_dict(), vector_critical=vector_critical_value(opts["N"], opts["n"]))
+    return dict(est.to_dict(), vector_critical=critical)
 
 
 def _maxgauss(opts, threads) -> dict:

@@ -197,6 +197,7 @@ def vector_risk(
     with n coordinates elevated by a."""
     if n < 2 or n >= N:
         raise ValidationError(f"vector case needs 2 <= n < N, got n={n}, N={N}")
+    SignalSpec(a)  # rejects a non-finite or negative a; the estimate keeps `a` as given
     planted = list(range(n))
 
     def one_trial(t: int) -> tuple[bool, float]:
@@ -214,12 +215,14 @@ def max_gauss_exceedance(J: int, t: float, trials: int, seed: int,
                          workers: int | None = None) -> float:
     """Estimate P(max of J standard normals >= t * sqrt(2 log J)) by simulation.
 
-    For J = 1 the scaling factor is 0, so this is P(Z >= 0) = 1/2 for any t.
+    For J = 1 the scaling factor is 0, so this is P(Z >= 0) = 1/2 for any finite t.
     """
     if J < 1:
         raise ValidationError(f"J must be >= 1, got {J}")
     if trials < 100:
         raise ValidationError(f"need trials >= 100, got {trials}")
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t!r}")
     threshold = float(t) * math.sqrt(2.0 * math.log(J))
 
     def one_trial(tr: int) -> bool:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,14 +85,16 @@ def permutation_failures() -> int:
 def threshold_problems() -> list[str]:
     """Where B = min(A1, A2, A), B(a*) = 1 or the row/column swap symmetry fails."""
     problems = []
-    for dims in (Dims(1000, 1000, 10, 10), Dims(60, 60, 6, 6), Dims(47, 83, 3, 9),
-                 Dims(10**6, 14, 10**5, 3), Dims(50, 40, 5, 3)):
-        if any(th.B != min(th.A1, th.A2, th.A) for th in (compute(dims, a) for a in (0.3, 1.0, 4.2))):
+    for dims in (Dims(1000, 1000, 10, 10), Dims(60, 60, 6, 6), Dims(47, 83, 3, 9), Dims(120, 85, 6, 3),
+                 Dims(10**6, 14, 100, 3), Dims(10**6, 14, 10**5, 3), Dims(50, 40, 5, 3)):
+        levels = [compute(dims, a) for a in (0.1, 0.3, 1.0, 2.7, 4.2, 10.0)]
+        if any(th.B != min(th.A1, th.A2, th.A) for th in levels):
             problems.append(f"min-composition at {dims}")
         if abs(compute(dims, critical_value(dims)).B - 1.0) > 1e-12:
             problems.append(f"B(a*) != 1 at {dims}")
-        sw, th = compute(Dims(dims.M, dims.N, dims.m, dims.n), 1.0), compute(dims, 1.0)
-        if (sw.A1, sw.A2, sw.A, sw.B, sw.det_quantity) != (th.A2, th.A1, th.A, th.B, th.det_quantity):
+        # the swap exchanges A1 and A2 and leaves A, B, a_star and det_quantity exactly as they were
+        th = compute(dims, 1.0)
+        if compute(Dims(dims.M, dims.N, dims.m, dims.n), 1.0) != replace(th, A1=th.A2, A2=th.A1):
             problems.append(f"symmetry at {dims}")
     return problems
 
@@ -136,8 +139,7 @@ def likelihood_mismatches() -> int:
 
 def run() -> bool:
     """Print one line per property and a summary; True when every property holds."""
-    failed = 0
-    for name, prop in [
+    properties = [
         ("exact scan matches brute force", oracle_mismatches),
         ("top-m column reduction equals exhaustive column search", column_reduction_mismatches),
         ("shift invariance of the selected support", shift_failures),
@@ -147,9 +149,11 @@ def run() -> bool:
         ("wilson interval endpoints", wilson_failures),
         ("worker-count determinism of risk estimates", worker_dependent),
         ("scan maximizer equals likelihood maximizer", likelihood_mismatches),
-    ]:
+    ]
+    failed = 0
+    for name, prop in properties:
         ok = not prop()
         print(f"{'ok' if ok else 'FAIL'} - {name}")
         failed += not ok
-    print(f"{9 - failed}/9 properties passed")
+    print(f"{len(properties) - failed}/{len(properties)} properties passed")
     return failed == 0

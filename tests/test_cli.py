@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subscan import Dims, SignalSpec, canonical_support, generate, scan_exact, selftest
+from subscan import Dims, SignalSpec, canonical_support, cli, generate, scan_exact, selftest
 from subscan.cli import (
     EXIT_BUDGET,
     EXIT_DIMENSION,
@@ -178,6 +178,13 @@ def test_vector_risk_verb_with_multiplier(capsys):
     assert result["vector_critical"] > 0
 
 
+def test_vector_risk_takes_exactly_one_signal_flag(capsys):
+    for extra in ([], ["--a", "3.5", "--mult", "2.0"]):
+        code, _, err = run_cli(["vector-risk", "--N", "500", "--n", "4", *extra], capsys)
+        assert code == EXIT_USAGE
+        assert json.loads(err)["detail"] == "exactly one of --a / --mult is required"
+
+
 def test_calibrate_then_detect_round_trip(tmp_path, capsys):
     calib_path = tmp_path / "calib.json"
     code, _, _ = run_cli(
@@ -221,6 +228,10 @@ def test_selftest_clean_build(capsys):
 
 
 def test_selftest_failing_property(monkeypatch, capsys):
+    # test_selftest_clean_build runs the nine properties for real; here they are stubbed
+    for name in ("oracle_mismatches", "column_reduction_mismatches", "shift_failures", "scale_failures",
+                 "permutation_failures", "threshold_problems", "worker_dependent", "likelihood_mismatches"):
+        monkeypatch.setattr(selftest, name, lambda: 0)
     monkeypatch.setattr(selftest, "wilson_failures", lambda: 1)
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == EXIT_SELFTEST
@@ -371,6 +382,7 @@ def test_resolved_options_are_pinned(argv, expected):
 
 
 def test_pinned_table_covers_every_verb():
+    assert VERBS == list(cli.VERBS)
     assert sorted({argv.split()[0] for argv, _ in PINNED_OPTIONS}) == sorted(VERBS)
 
 

@@ -9,7 +9,6 @@ import pytest
 from subscan import (
     Dims,
     ValidationError,
-    canonical_support,
     estimate_risk,
     make_support,
     max_gauss_exceedance,
@@ -178,11 +177,9 @@ def test_vector_risk_guards():
         vector_risk(10, 1, 1.0, 100, seed=0)
     with pytest.raises(ValidationError):
         vector_risk(10, 10, 1.0, 100, seed=0)
-
-
-def test_vector_risk_deterministic_across_workers():
-    runs = [vector_risk(2000, 5, 3.0, 60, seed=84, workers=w) for w in (1, 3)]
-    assert runs[0] == runs[1]
+    for a in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            vector_risk(10, 2, a, 100, seed=0)
 
 
 # --- gaussian maxima
@@ -203,6 +200,9 @@ def test_max_gauss_guards():
         max_gauss_exceedance(0, 1.0, 400, seed=0)
     with pytest.raises(ValidationError):
         max_gauss_exceedance(10, 1.0, 99, seed=0)
+    for J, t in ((10, math.nan), (10, math.inf), (10, -math.inf), (1, math.inf)):
+        with pytest.raises(ValidationError, match="t must be finite"):
+            max_gauss_exceedance(J, t, 400, seed=0)
 
 
 def test_estimate_risk_guards():
