@@ -8,6 +8,8 @@ of (dims, support, signal, seed).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -108,6 +110,14 @@ def canonical_support(dims: Dims) -> Support:
     return Support(tuple(range(dims.n)), tuple(range(dims.m)))
 
 
+def check_signal_level(a) -> float:
+    """`a` as a float; raises ValidationError unless it is finite and >= 0."""
+    level = float(a)
+    if not math.isfinite(level) or level < 0:
+        raise ValidationError(f"a must be finite and >= 0, got {a!r}")
+    return level
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Signal strength: every supported cell has mean `a` unless an explicit
@@ -117,9 +127,7 @@ class SignalSpec:
     means: np.ndarray | None = None
 
     def __post_init__(self):
-        a = float(self.a)
-        if not np.isfinite(a) or a < 0:
-            raise ValidationError(f"a must be finite and >= 0, got {self.a!r}")
+        a = check_signal_level(self.a)
         object.__setattr__(self, "a", a)
         if self.means is not None:
             means = np.array(self.means, dtype=np.float64)
@@ -152,15 +160,15 @@ class Observation:
         object.__setattr__(self, "data", data)
 
 
-def _check_support(dims: Dims, support: Support) -> None:
-    if len(support.rows) != dims.n or len(support.cols) != dims.m:
-        raise DimensionMismatchError(
-            f"support is {len(support.rows)}x{len(support.cols)}, dims expect {dims.n}x{dims.m}"
-        )
-    if support.rows and (support.rows[0] < 0 or support.rows[-1] >= dims.N):
-        raise DimensionMismatchError("support rows out of range for dims")
-    if support.cols and (support.cols[0] < 0 or support.cols[-1] >= dims.M):
-        raise DimensionMismatchError("support cols out of range for dims")
+def check_support(shape: tuple[int, int], support: Support) -> None:
+    """Raise DimensionMismatchError unless the rows and the columns of
+    `support` are each a nonempty, strictly increasing run of indices inside
+    a matrix of this shape."""
+    for ids, limit, axis in ((support.rows, shape[0], "rows"), (support.cols, shape[1], "cols")):
+        if not ids or ids[0] < 0 or ids[-1] >= limit or not all(map(operator.lt, ids, ids[1:])):
+            raise DimensionMismatchError(
+                f"support {axis} must be strictly increasing indices in [0, {limit}), got {ids}"
+            )
 
 
 def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Observation:
@@ -170,7 +178,11 @@ def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Obs
     different signal levels share their noise (common random numbers), and
     at a = 0 the draw is the pure-noise null.
     """
-    _check_support(dims, support)
+    if len(support.rows) != dims.n or len(support.cols) != dims.m:
+        raise DimensionMismatchError(
+            f"support is {len(support.rows)}x{len(support.cols)}, dims expect {dims.n}x{dims.m}"
+        )
+    check_support(dims.shape, support)
     data = gaussian_stream(seed).standard_normal(dims.shape)
     if signal.means is not None:
         if signal.means.shape != (dims.n, dims.m):

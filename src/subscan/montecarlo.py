@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .model import Dims, SignalSpec, Support, canonical_support, generate
+from .model import Dims, SignalSpec, Support, canonical_support, check_signal_level, generate
 from .parallel import map_indexed
 from .selector import EXACT_ENUMERATION_BUDGET, scan, vector_select
 from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
@@ -197,7 +197,7 @@ def vector_risk(
     with n coordinates elevated by a."""
     if n < 2 or n >= N:
         raise ValidationError(f"vector case needs 2 <= n < N, got n={n}, N={N}")
-    SignalSpec(a)  # rejects a non-finite or negative a; the estimate keeps `a` as given
+    check_signal_level(a)  # the estimate keeps `a` as given
     planted = list(range(n))
 
     def one_trial(t: int) -> tuple[bool, float]:

@@ -12,8 +12,10 @@ One scan runs on one thread; its `workers` argument changes nothing.
 
 Tie-breaking is total and deterministic everywhere: higher objective first,
 then the lexicographically smallest row set, then the lexicographically
-smallest column set.  Inside a top-k selection, equal values lose to the
-smaller index.
+smallest column set.  The rule is written once, as `_rank`, the sort key of
+one candidate, and `_best_line`, its batch form over arrays of candidates;
+every scan settles its ties through them.  Every top-k selection is
+`top_indices`, where a tie goes to the smaller index.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
-from .model import Observation, Support
+from .model import Observation, Support, check_signal_level, check_support
 from .streams import gaussian_stream
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
@@ -45,24 +47,21 @@ class SelectorResult:
     to_dict = asdict
 
 
-def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries of each row; ties go to the smaller
-    index; sorted ascending."""
-    return np.sort(np.argsort(-values, axis=1, kind="stable")[:, :k], axis=1)
+def top_indices(values, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis; ties go to the
+    smaller index; sorted ascending."""
+    return np.sort(np.argsort(-np.asarray(values), axis=-1, kind="stable")[..., :k], axis=-1)
 
 
-def top_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """_top_rows of a single vector."""
-    return _top_rows(np.asarray(values)[None, :], k)[0]
+def _rank(objective: float, rows, cols) -> tuple:
+    """Sort key of one candidate under the tie-break: the best sorts first."""
+    return (-objective, tuple(rows), tuple(cols))
 
 
-# (objective, rows, cols) candidates; None is worse than everything.
-def _improves(cand, best) -> bool:
-    if best is None:
-        return True
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    return (cand[1], cand[2]) < (best[1], best[2])
+def _best_line(objs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
+    """Index of the best line of candidate arrays under the tie-break, the
+    batch form of _rank; of identical lines the first wins."""
+    return int(np.lexsort([*cols.T[::-1], *rows.T[::-1], -objs])[0])
 
 
 def _check_shape(obs: Observation, n: int, m: int) -> np.ndarray:
@@ -116,26 +115,37 @@ def _incumbent(W: np.ndarray, k: int, t: int) -> float:
     step = max(1, 4_000_000 // (K * t + k * L))
     best = -np.inf
     for lo in range(0, K, step):
-        cols = _top_rows(W[lo:lo + step], t)
-        init = _top_rows(W[:, cols].sum(axis=2).T, k)
+        cols = top_indices(W[lo:lo + step], t)
+        init = top_indices(W[:, cols].sum(axis=2).T, k)
         rows = _climb(W, init, k, t, MAX_ALTERNATIONS)[0]
         best = max(best, float(_top_sums(W[rows].sum(axis=1), t).max()))
     return best
 
 
-def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
-    """Exact maximizer via single-axis enumeration plus top-k on the other axis.
+def scan_exact(
+    obs: Observation,
+    n: int,
+    m: int,
+    budget: int = EXACT_ENUMERATION_BUDGET,
+    workers: int | None = None,
+) -> SelectorResult:
+    """Global maximizer of the submatrix sum over all n x m supports.
 
-    A lexicographic depth-first branch-and-bound over the k-subsets of the
-    enumerated axis, from the empty prefix down.  A prefix carries its first
-    admissible next row and its running sum, which starts at -0.0, the additive
-    identity; each child adds one row, so a completed sum is bit-identical to
-    adding its rows in index order.  A prefix is pruned when even the best r
-    rows left per column cannot lift it to the incumbent; the slack covers
-    rounding, so every maximizer survives, and the tie-break is settled among
-    them.  Children are made at most `block` at a time (about 2**18 floats of
-    sums), so memory stays bounded where nothing prunes.
+    Enumerates only the cheaper axis (see module docstring); raises
+    BudgetExceededError when even that side exceeds `budget` subsets.
+    `workers` is accepted and ignored: one scan runs on one thread.
+
+    The search is a lexicographic depth-first branch-and-bound over the
+    k-subsets of the enumerated axis, from the empty prefix down.  A prefix
+    carries its first admissible next row and its running sum, which starts at
+    -0.0, the additive identity; each child adds one row, so a completed sum is
+    bit-identical to adding its rows in index order.  A prefix is pruned when
+    even the best r rows left per column cannot lift it to the incumbent; the
+    slack covers rounding, so every maximizer survives, and the tie-break is
+    settled among them.  Children are made at most `block` at a time (about
+    2**18 floats of sums), so memory stays bounded where nothing prunes.
     """
+    Y = _check_shape(obs, n, m)
     N, M = Y.shape
     count_rows = math.comb(N, n)
     count_cols = math.comb(M, m)
@@ -155,28 +165,25 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
     slack = (k + t + 2) * k * t * float(np.abs(W).max()) * 2.0**-50
     floor = _incumbent(W, k, t) - slack if k > 1 else -np.inf
     gain = _top_sums((W + tops[:-1, 1:]).reshape(-1, L), t).reshape(k, K)
-    best = None
+    best = (np.inf,)  # the _rank of no candidate: worse than every one
 
     def score(subsets, sums):
         nonlocal best, floor
         objs = _top_sums(sums, t)
-        peak = objs.max()
-        if best is not None and peak < best[0]:
+        peak = float(objs.max())
+        if -peak > best[0]:
             return
-        tied = subsets[objs == peak]
+        hit = objs == peak
+        tied = subsets[hit]
         # the partition reordered `sums`: the tied sums are summed again, in
         # column order and in the same arithmetic
-        if transposed:  # the rows each tied column set picks decide the tie
-            rows, cols = _top_rows(W[tied].sum(axis=1), t), tied
-            i = np.lexsort(np.hstack([rows, cols]).T[::-1])[0]
-            rows, cols = rows[i], cols[i]
-        else:  # distinct row sets: the smallest wins, whatever its columns
-            rows = tied[np.lexsort(tied.T[::-1])[0]]
-            cols = top_indices(W[rows].sum(axis=0), t)
-        cand = (float(peak), tuple(rows.tolist()), tuple(cols.tolist()))
-        if _improves(cand, best):
+        other = top_indices(W[tied].sum(axis=1), t)
+        rows, cols = (other, tied) if transposed else (tied, other)
+        i = _best_line(objs[hit], rows, cols)
+        cand = _rank(peak, rows[i].tolist(), cols[i].tolist())
+        if cand < best:
             best = cand
-            floor = max(floor, best[0] - slack)
+            floor = max(floor, peak - slack)
 
     def visit(subsets, next_row, sums):
         d = subsets.shape[1]
@@ -202,26 +209,8 @@ def _scan_enumerate(Y: np.ndarray, n: int, m: int, budget: int):
                 visit(np.column_stack([subsets[parent], rows]), rows + 1, child)
 
     visit(np.empty((1, 0), np.intp), np.zeros(1, np.intp), np.full((1, L), -0.0))
-    return best
-
-
-def scan_exact(
-    obs: Observation,
-    n: int,
-    m: int,
-    budget: int = EXACT_ENUMERATION_BUDGET,
-    workers: int | None = None,
-) -> SelectorResult:
-    """Global maximizer of the submatrix sum over all n x m supports.
-
-    Enumerates only the cheaper axis (see module docstring); raises
-    BudgetExceededError when even that side exceeds `budget` subsets.
-    `workers` is accepted and ignored: one scan runs on one thread.
-    """
-    Y = _check_shape(obs, n, m)
-    obj, rows, cols = _scan_enumerate(Y, n, m, budget)
-    support = Support(rows, cols)
-    return SelectorResult(support, _objective(Y, rows, cols), "exact")
+    _, rows, cols = best
+    return SelectorResult(Support(rows, cols), _objective(Y, rows, cols), "exact")
 
 
 def scan_brute_force(
@@ -238,14 +227,12 @@ def scan_brute_force(
             f"brute force needs {total:,} support pairs, over the budget of {budget:,}"
         )
     col_sets = np.asarray(list(itertools.combinations(range(M), m)), dtype=np.intp)
-    best = None
+    best = (np.inf,)
     for row_set in itertools.combinations(range(N), n):
         colsum = Y[list(row_set)].sum(axis=0)
         objs = colsum[col_sets].sum(axis=1) if m > 1 else colsum[col_sets[:, 0]]
         i = int(np.argmax(objs))  # first max = lex smallest col set
-        cand = (float(objs[i]), row_set, tuple(int(c) for c in col_sets[i]))
-        if _improves(cand, best):
-            best = cand
+        best = min(best, _rank(float(objs[i]), row_set, col_sets[i].tolist()))
     _, rows, cols = best
     support = Support(rows, cols)
     return SelectorResult(support, _objective(Y, rows, cols), "brute_force")
@@ -269,13 +256,13 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
     def objectives(r, c):
         return Y[r[:, :, None], c[:, None, :]].reshape(len(r), n * m).sum(axis=1)
 
-    cols = _top_rows(col_sums(rows), m)
+    cols = top_indices(col_sums(rows), m)
     obj = objectives(rows, cols)
     cycles = np.zeros(len(rows), dtype=np.intp)
     active = np.arange(len(rows))
     for _ in range(max_cycles):
-        rows_next = _top_rows(Y[:, cols[active]].sum(axis=2).T, n)
-        cols_next = _top_rows(col_sums(rows_next), m)
+        rows_next = top_indices(Y[:, cols[active]].sum(axis=2).T, n)
+        cols_next = top_indices(col_sums(rows_next), m)
         obj_next = objectives(rows_next, cols_next)
         rise = ~(obj_next <= obj[active])
         active = active[rise]
@@ -312,15 +299,10 @@ def scan_heuristic(
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     rows, cols, obj, cycles = _climb(Y, _restart_rows(Y.shape[0], n, restarts, seed), n, m, max_cycles)
-    best, best_r = None, 0
-    for r in range(restarts):
-        cand = (float(obj[r]), tuple(rows[r].tolist()), tuple(cols[r].tolist()))
-        if _improves(cand, best):
-            best, best_r = cand, r
-    objective, best_rows, best_cols = best
+    r = _best_line(obj, rows, cols)
     return SelectorResult(
-        Support(best_rows, best_cols), objective, "heuristic",
-        iterations=int(cycles[best_r]), restarts_used=restarts,
+        Support(tuple(rows[r].tolist()), tuple(cols[r].tolist())), float(obj[r]), "heuristic",
+        iterations=int(cycles[r]), restarts_used=restarts,
     )
 
 
@@ -362,17 +344,7 @@ def log_lr(obs: Observation, support: Support, a: float) -> float:
     Minimizing this over supports is the same as maximizing the scan
     objective, which is what makes the scan the likelihood maximizer.
     """
-    if a < 0:
-        raise ValidationError(f"a must be >= 0, got {a}")
-    N, M = obs.dims.shape
-    if (
-        not support.rows
-        or not support.cols
-        or support.rows[0] < 0
-        or support.rows[-1] >= N
-        or support.cols[0] < 0
-        or support.cols[-1] >= M
-    ):
-        raise DimensionMismatchError("support indices out of range for the observation")
+    a = check_signal_level(a)
+    check_support(obs.dims.shape, support)
     nm = len(support.rows) * len(support.cols)
     return float(-a * _objective(obs.data, support.rows, support.cols) + a * a * nm / 2.0)

@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ValidationError
-from .model import Dims
+from .model import Dims, check_signal_level
 
 DEFAULT_MARGIN = 0.05
 DEFAULT_DET_LARGE = 3.0
@@ -82,9 +82,7 @@ def _critical_terms(dims: Dims) -> tuple[float, float, float]:
 
 def compute(dims: Dims, a: float) -> Thresholds:
     """Evaluate A, A1, A2, B, a_star and det_quantity at signal level a >= 0."""
-    a = float(a)
-    if not math.isfinite(a) or a < 0:
-        raise ValidationError(f"a must be finite and >= 0, got {a!r}")
+    a = check_signal_level(a)
     t1, t2, t3 = _critical_terms(dims)
     A1 = a / t1
     A2 = a / t2
@@ -143,6 +141,8 @@ def classify(
     """
     if not 0.0 < margin < 0.5:
         raise ValidationError(f"margin must lie in (0, 0.5), got {margin!r}")
+    if not (math.isfinite(det_large) and math.isfinite(det_small)):
+        raise ValidationError(f"det cutoffs must be finite, got {det_small!r} and {det_large!r}")
     if det_small >= det_large:
         raise ValidationError("det_small cutoff must be below det_large")
     th = compute(dims, a)

@@ -80,8 +80,8 @@ def test_criterion_5_vector_case():
     a_star = vector_critical_value(10_000, 10)
     high = vector_risk(10_000, 10, 2.0 * a_star, 200, seed=2)
     low = vector_risk(10_000, 10, 0.5 * a_star, 200, seed=2)
-    ok = high.risk <= 0.05 and low.risk >= 0.9
-    assert _verdict(5, ok, f"risk(2*a*)={high.risk}, risk(0.5*a*)={low.risk}")
+    ok = high.risk <= 0.05 and low.risk >= 0.9 and high.selector_method == low.selector_method == "vector"
+    assert _verdict(5, ok, f"risk(2*a*)={high.risk}, risk(0.5*a*)={low.risk}, selector={high.selector_method}")
 
 
 def test_criterion_6_detection_selection_gap():
@@ -90,8 +90,15 @@ def test_criterion_6_detection_selection_gap():
     dims = Dims(n * n, math.ceil(logn), n, math.ceil(math.log(logn)))
     a = math.sqrt(logn / math.log(logn))
     label = classify(dims, a)
-    ok = label.detection == "distinguishable" and label.selection == "inconsistent"
-    assert _verdict(6, ok, f"gap instance: detection={label.detection}, selection={label.selection}")
+    A1, det = label.basis["A1"], label.basis["det_quantity"]
+    ok = (
+        label.detection == "distinguishable"
+        and label.selection == "inconsistent"
+        and A1 < 1 - 0.05
+        and math.isclose(det, 3.3823699, rel_tol=1e-6)
+    )
+    assert _verdict(6, ok, f"gap instance: detection={label.detection}, selection={label.selection}, "
+                           f"A1={A1:.3f} (<0.95), det_quantity={det:.7f}")
 
 
 def test_criterion_7_detection_level_and_power():

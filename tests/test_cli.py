@@ -276,6 +276,16 @@ def test_malformed_multiplier_list_is_usage_error(capsys):
     assert "comma-separated" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("flag", ["--det-large", "--det-small"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_classify_rejects_non_finite_cutoffs(capsys, flag, value):
+    code, out, err = run_cli(
+        ["classify", "--N", "100", "--M", "100", "--n", "5", "--m", "5", "--a", "1", f"{flag}={value}"], capsys
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "finite" in json.loads(err)["detail"]
+
+
 def test_generate_requires_signal_level(capsys):
     code, _, err = run_cli(
         ["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--seed", "1"], capsys

@@ -170,6 +170,12 @@ def test_generate_rejects_mismatched_support():
         generate(d, wrong, SignalSpec(1.0), 0)
     with pytest.raises(DimensionMismatchError):
         generate(d, canonical_support(d), SignalSpec(1.0, means=np.ones((3, 3))), 0)
+    # every index counts: a negative last row, a repeated row, a row past N
+    for rows in ((3, -1), (1, 1), (12, 1)):
+        with pytest.raises(DimensionMismatchError):
+            generate(d, Support(rows, (0, 1)), SignalSpec(1.0), 1)
+        with pytest.raises(DimensionMismatchError):
+            generate(d, Support((0, 1), rows), SignalSpec(1.0), 1)
 
 
 def test_observation_rejects_bad_data():

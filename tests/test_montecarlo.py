@@ -13,7 +13,6 @@ from subscan import (
     make_support,
     max_gauss_exceedance,
     sweep,
-    vector_critical_value,
     vector_risk,
     wilson_interval,
 )
@@ -152,19 +151,6 @@ def test_sweep_serializable():
 
 
 # --- vector case
-
-
-def test_vector_risk_consistent_regime():
-    a = 2.0 * vector_critical_value(10_000, 10)
-    est = vector_risk(10_000, 10, a, 200, seed=81)
-    assert est.risk <= 0.05
-    assert est.selector_method == "vector"
-
-
-def test_vector_risk_impossible_regime():
-    a = 0.5 * vector_critical_value(10_000, 10)
-    est = vector_risk(10_000, 10, a, 200, seed=82)
-    assert est.risk >= 0.9
 
 
 def test_vector_risk_zero_signal():

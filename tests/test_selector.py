@@ -9,6 +9,7 @@ from subscan import (
     Dims,
     Observation,
     SignalSpec,
+    Support,
     ValidationError,
     canonical_support,
     critical_value,
@@ -457,3 +458,9 @@ def test_log_lr_guards():
         log_lr(obs, make_support(Dims(4, 4, 1, 1), [0], [0]), -1.0)
     with pytest.raises(DimensionMismatchError):
         log_lr(obs, make_support(Dims(9, 9, 2, 2), [7, 8], [0, 1]), 1.0)
+    for a in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            log_lr(obs, make_support(Dims(4, 4, 1, 1), [0], [0]), a)
+    for rows in ((3, -1), (1, 1), (0, 5)):
+        with pytest.raises(DimensionMismatchError):
+            log_lr(obs, Support(rows, (0, 1)), 1.0)

@@ -162,20 +162,6 @@ def test_classify_selection_is_pure_function_of_B():
     assert classify(dims, a_star * 1.2, margin=0.3).selection == "boundary"
 
 
-def test_classify_detection_gap_instance():
-    # large N with a tiny block: detectable through the dense statistic while
-    # the edge quantity A1 forbids selection
-    n = 10**6
-    logn = math.log(n)
-    dims = Dims(n * n, math.ceil(logn), n, math.ceil(math.log(logn)))
-    a = math.sqrt(logn / math.log(logn))
-    label = classify(dims, a)
-    assert label.detection == "distinguishable"
-    assert label.selection == "inconsistent"
-    assert label.basis["A1"] < 1 - 0.05
-    assert label.basis["det_quantity"] == pytest.approx(3.3823699, rel=1e-6)
-
-
 def test_classify_indistinguishable_notes_unchecked_balance():
     dims = Dims(5000, 5000, 3, 3)
     label = classify(dims, 0.05)
