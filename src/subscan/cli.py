@@ -185,7 +185,14 @@ def parse_args(argv) -> RunConfig:
     """Resolve defaults <- config file <- flags, then validate; raises
     ValidationError listing every violated constraint."""
     argv = list(argv)
-    args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+    verb = argv[0] if argv else None
+    # after a space, argparse reads -1e-3, -inf or -1,2 as a flag: join each
+    # negative number, or list starting with one, to its option with "="
+    flags = {"--" + key.replace("_", "-") for key in VERBS.get(verb, (None, None, {}))[2]}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in flags and argv[i].startswith("-") and FLOATS.accepts(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    args = vars(_build_parser(verb).parse_args(argv))
     verb, config, threads = args.pop("verb"), args.pop("config"), args.pop("threads")
     options = VERBS[verb][2]
     resolved = {key: opt.default for key, opt in options.items() if opt.default is not REQUIRED}

@@ -6,7 +6,7 @@ class SubscanError(Exception):
 
 
 class ValidationError(SubscanError, ValueError):
-    """An argument violates a stated constraint (range, cardinality, duplicates...)."""
+    """An argument violates a stated constraint (range, cardinality, type...)."""
 
 
 class DimensionMismatchError(SubscanError, ValueError):

@@ -49,16 +49,6 @@ class Dims:
             raise ValidationError("; ".join(problems))
 
     @property
-    def p(self) -> float:
-        """Row sparsity ratio n/N."""
-        return self.n / self.N
-
-    @property
-    def q(self) -> float:
-        """Column sparsity ratio m/M."""
-        return self.m / self.M
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.N, self.M)
 
@@ -79,30 +69,26 @@ class Support:
     to_dict = asdict
 
 
-def _canonical_axis(ids: Sequence[int], count: int, limit: int, axis: str) -> tuple[int, ...]:
+def _canonical_axis(ids: Sequence[int], count: int, axis: str) -> tuple[int, ...]:
     ids = [_as_index(i, f"{axis} index") for i in ids]
     if len(ids) != count:
         raise ValidationError(f"expected {count} {axis} indices, got {len(ids)}")
-    seen = set()
-    for i in ids:
-        if i < 0 or i >= limit:
-            raise ValidationError(f"{axis} index {i} out of range [0, {limit})")
-        if i in seen:
-            raise ValidationError(f"duplicate {axis} index {i}")
-        seen.add(i)
     return tuple(sorted(ids))
 
 
 def make_support(dims: Dims, row_ids: Sequence[int], col_ids: Sequence[int]) -> Support:
     """Validate and canonicalize (sort) index lists into a Support.
 
-    Raises ValidationError for wrong cardinality, out-of-range indices, or
-    duplicates; each failure names the violated constraint.
+    Raises ValidationError for a wrong count or a non-integer index, and,
+    through check_support, DimensionMismatchError for an out-of-range or
+    repeated index.
     """
-    return Support(
-        rows=_canonical_axis(row_ids, dims.n, dims.N, "row"),
-        cols=_canonical_axis(col_ids, dims.m, dims.M, "col"),
+    support = Support(
+        rows=_canonical_axis(row_ids, dims.n, "row"),
+        cols=_canonical_axis(col_ids, dims.m, "col"),
     )
+    check_support(dims.shape, support)
+    return support
 
 
 def canonical_support(dims: Dims) -> Support:

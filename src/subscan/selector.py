@@ -3,12 +3,13 @@
 The exact scan never enumerates both axes.  For a fixed row set A the best
 column set is the m largest column sums restricted to A, so it suffices to
 enumerate subsets of whichever axis has the smaller binomial coefficient and
-read the other axis off a partial sort.  The subsets are searched depth
-first, in lexicographic order and in vectorized blocks of bounded size, by
-branch and bound: a prefix is dropped once no completion can reach the best
-objective known, with a slack for rounding, so every maximizer is scored with
-the same arithmetic and the tie-break below is settled among all of them.
-One scan runs on one thread; its `workers` argument changes nothing.
+read the other axis off a partial sort.  The subsets are searched strongest
+rows first, depth first and in vectorized blocks of bounded size, by branch
+and bound: a prefix is dropped once no completion can reach the best
+objective known, with a slack for rounding.  Every leaf that may be a
+maximizer is summed again with its rows in index order, so every maximizer is
+scored with the same arithmetic and the tie-break below is settled among all
+of them.  One scan runs on one thread; its `workers` argument changes nothing.
 
 Tie-breaking is total and deterministic everywhere: higher objective first,
 then the lexicographically smallest row set, then the lexicographically
@@ -108,18 +109,13 @@ def _suffix_tops(W: np.ndarray, r_max: int) -> np.ndarray:
 
 def _incumbent(W: np.ndarray, k: int, t: int) -> float:
     """Objective of a good k-row set, in the scan's own arithmetic: the best
-    alternating-maximization fixed point from K deterministic starts, each
-    row's top-t columns and then the top-k rows for those columns.  The starts
-    climb in batches that keep the climb's gathers near 4M floats."""
-    K, L = W.shape
-    step = max(1, 4_000_000 // (K * t + k * L))
-    best = -np.inf
-    for lo in range(0, K, step):
-        cols = top_indices(W[lo:lo + step], t)
-        init = top_indices(W[:, cols].sum(axis=2).T, k)
-        rows = _climb(W, init, k, t, MAX_ALTERNATIONS)[0]
-        best = max(best, float(_top_sums(W[rows].sum(axis=1), t).max()))
-    return best
+    alternating-maximization fixed point from the first 2k rows of W as
+    starts, each start's top-t columns and then the top-k rows for those
+    columns.  scan_exact passes W with its strongest rows first."""
+    cols = top_indices(W[:2 * k], t)
+    init = top_indices(W[:, cols].sum(axis=2).T, k)
+    rows = _climb(W, init, k, t, MAX_ALTERNATIONS)[0]
+    return float(_top_sums(W[rows].sum(axis=1), t).max())
 
 
 def scan_exact(
@@ -136,14 +132,16 @@ def scan_exact(
     `workers` is accepted and ignored: one scan runs on one thread.
 
     The search is a lexicographic depth-first branch-and-bound over the
-    k-subsets of the enumerated axis, from the empty prefix down.  A prefix
-    carries its first admissible next row and its running sum, which starts at
-    -0.0, the additive identity; each child adds one row, so a completed sum is
-    bit-identical to adding its rows in index order.  A prefix is pruned when
-    even the best r rows left per column cannot lift it to the incumbent; the
-    slack covers rounding, so every maximizer survives, and the tie-break is
-    settled among them.  Children are made at most `block` at a time (about
-    2**18 floats of sums), so memory stays bounded where nothing prunes.
+    k-subsets of the enumerated axis, its rows relabelled strongest first (by
+    their own top-t sums) so that the suffix bounds tighten early.  A prefix
+    carries its first admissible next row and its running sum from -0.0; each
+    child adds one row.  A prefix is pruned when even the best r rows left per
+    column cannot lift it to the incumbent.  A leaf near its block's peak is
+    summed again in index order, the arithmetic of the result; the slack
+    covers the rounding of both orders, so every maximizer survives and the
+    tie-break is settled among them.  Children are made at most `block` at a
+    time (about 2**18 floats of sums), so memory stays bounded where nothing
+    prunes.
     """
     Y = _check_shape(obs, n, m)
     N, M = Y.shape
@@ -156,13 +154,16 @@ def scan_exact(
             "raise the budget or use the heuristic selector"
         )
     transposed = count_cols < count_rows
-    W = Y.T if transposed else Y
+    W0 = Y.T if transposed else Y
     k, t = (m, n) if transposed else (n, m)
-    K, L = W.shape
+    K, L = W0.shape
+    perm = np.argsort(-_top_sums(W0.copy(), t), kind="stable")
+    W = W0[perm]
     block = max(256, 2**18 // L)
     tops = _suffix_tops(W, k)
-    # a generous multiple of the rounding error of a sum of k*t entries
-    slack = (k + t + 2) * k * t * float(np.abs(W).max()) * 2.0**-50
+    # a generous multiple of the rounding error of a sum of k*t entries,
+    # doubled to cover both the search's order of rows and index order
+    slack = (k + t + 2) * k * t * float(np.abs(W).max()) * 2.0**-49
     floor = _incumbent(W, k, t) - slack if k > 1 else -np.inf
     gain = _top_sums((W + tops[:-1, 1:]).reshape(-1, L), t).reshape(k, K)
     best = (np.inf,)  # the _rank of no candidate: worse than every one
@@ -171,13 +172,17 @@ def scan_exact(
         nonlocal best, floor
         objs = _top_sums(sums, t)
         peak = float(objs.max())
-        if -peak > best[0]:
+        if peak + slack < -best[0]:
             return
+        # the leaves near the peak are summed again in index order, the
+        # arithmetic of the result; their columns are read off these sums,
+        # which the partition in _top_sums does not reorder
+        near = np.sort(perm[subsets[objs >= peak - slack]], axis=1)
+        sums = W0[near].sum(axis=1)
+        objs = _top_sums(sums.copy(), t)
+        peak = float(objs.max())
         hit = objs == peak
-        tied = subsets[hit]
-        # the partition reordered `sums`: the tied sums are summed again, in
-        # column order and in the same arithmetic
-        other = top_indices(W[tied].sum(axis=1), t)
+        tied, other = near[hit], top_indices(sums[hit], t)
         rows, cols = (other, tied) if transposed else (tied, other)
         i = _best_line(objs[hit], rows, cols)
         cand = _rank(peak, rows[i].tolist(), cols[i].tolist())

@@ -286,6 +286,36 @@ def test_classify_rejects_non_finite_cutoffs(capsys, flag, value):
     assert "finite" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-0.5"])
+def test_negative_numbers_parse_after_a_space(capsys, value):
+    # argparse alone reads a spaced `-1e-3` or `-inf` as a flag
+    head = ["classify", "--N", "100", "--M", "100", "--n", "5", "--m", "5", "--a", "1"]
+    options = parse_args([*head, "--det-small", value]).options
+    assert options == parse_args([*head, f"--det-small={value}"]).options
+    assert options["det_small"] == float(value)
+    mults = parse_args(["sweep", *head[1:9], "--mult", f"{value},1"]).options["mult"]
+    assert mults == f"{value},1"
+    code, out, err = run_cli([*head, "--det-small", value], capsys)
+    if value == "-inf":
+        assert code == EXIT_USAGE and out == ""
+        assert "finite" in json.loads(err)["detail"]
+    else:
+        assert code == EXIT_OK and json.loads(out)["config"]["det_small"] == float(value)
+
+
+def test_generate_support_index_fault_is_dimension_mismatch(tmp_path, capsys):
+    # a repeated or out-of-range --rows/--cols index breaks check_support's rule
+    head = ["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",
+            "--out", str(tmp_path / "y.csv")]
+    for flags in (["--rows", "1,1"], ["--cols", "0,6"], ["--rows", "-1,2"]):
+        code, out, err = run_cli([*head, *flags], capsys)
+        assert code == EXIT_DIMENSION and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "dimension_mismatch"
+        assert "must be strictly increasing indices in [0, 6)" in payload["detail"]
+    assert not (tmp_path / "y.csv").exists()
+
+
 def test_generate_requires_signal_level(capsys):
     code, _, err = run_cli(
         ["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--seed", "1"], capsys

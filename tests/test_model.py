@@ -20,8 +20,6 @@ from subscan import (
 
 def test_dims_accessors():
     d = Dims(100, 50, 10, 5)
-    assert d.p == 0.1
-    assert d.q == 0.1
     assert d.shape == (100, 50)
 
 
@@ -46,12 +44,17 @@ def test_make_support_canonicalizes_order():
 
 def test_make_support_distinct_errors():
     d = Dims(4, 4, 2, 2)
-    with pytest.raises(ValidationError, match="duplicate row index"):
+    # the index rule is check_support's, for a Support built either way
+    with pytest.raises(DimensionMismatchError, match="support rows must be strictly increasing"):
         make_support(d, [0, 0], [2, 3])
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(DimensionMismatchError, match=r"in \[0, 4\)"):
         make_support(d, [0, 4], [2, 3])
+    with pytest.raises(DimensionMismatchError, match="support cols"):
+        make_support(d, [0, 1], [-1, 3])
     with pytest.raises(ValidationError, match="expected 2 row indices"):
         make_support(d, [0, 1, 2], [2, 3])
+    with pytest.raises(ValidationError, match="col index must be an integer"):
+        make_support(d, [0, 1], [2, 3.0])
 
 
 @settings(deadline=None, max_examples=50)

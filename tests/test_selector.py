@@ -22,7 +22,7 @@ from subscan import (
     scan_heuristic,
     vector_select,
 )
-from subscan.selector import _climb, top_indices
+from subscan.selector import _climb, _incumbent, _top_sums, top_indices
 from subscan.streams import gaussian_stream
 
 
@@ -165,16 +165,60 @@ def test_lex_earlier_maximiser_ties_incumbent(transposed):
     assert (res.support.rows, res.support.cols, res.objective) == (rows, cols, objective)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_maximiser_in_the_rows_searched_last(transposed):
+    # rows 0-3 hold three ones each, in columns 0-2, and every other row four
+    # ones, so rows 0-3 have the smallest top-4 sums and are searched last.
+    # Rows 4 and 5 move two of theirs into columns 0-2: nine row sets tie at
+    # the maximum, some sharing a search block with rows 0-3, the lex-smallest
+    Y = np.zeros((30, 40))
+    Y[:4, :3] = 1.0
+    for r in range(4, 30):  # no column from 3 on gets more than three ones
+        Y[r, 3 + (4 * (r - 4) + np.arange(4)) % 37] = 1.0
+    Y[4, 5:7], Y[4, :2], Y[5, 9:11], Y[5, 1:3] = 0.0, 1.0, 0.0, 1.0
+    tops = _top_sums(Y.copy(), 4)
+    assert tops[:4].max() < tops[4:].min()
+    Y = Y.T.copy() if transposed else Y  # 40x30 enumerates column sets
+    objective, rows, cols = _integer_oracle(Y, 4, 4)
+    assert (cols if transposed else rows) == (0, 1, 2, 3)
+    res = scan_exact(Observation(Y, Dims(*Y.shape, 4, 4)), 4, 4)
+    assert (res.support.rows, res.support.cols, res.objective) == (rows, cols, objective)
+
+
+def test_incumbent_below_the_optimum_only_sets_a_floor():
+    # the rows are already strongest first, so the scan's relabelling is the
+    # identity and its incumbent climbs from rows 0-5
+    Y = gaussian_stream(24).standard_normal((12, 12))
+    Y = Y[np.argsort(-np.sort(Y, axis=1)[:, -3:].sum(axis=1))]
+    assert np.all(np.diff(_top_sums(Y.copy(), 3)) <= 0)
+    obs = Observation(Y, Dims(12, 12, 3, 3))
+    exact, brute = scan_exact(obs, 3, 3), scan_brute_force(obs, 3, 3)
+    assert _incumbent(Y, 3, 3) < exact.objective
+    assert (exact.support, exact.objective) == (brute.support, brute.objective)
+
+
 def _rounding_ties():
     """Matrices whose maximiser ties another support or the pruning bound
     only up to float rounding, with (n, m)."""
-    # (0.1 + 0.2) + 0.3 is one ulp above 0.1 + (0.2 + 0.3): the bound of the
-    # prefix (0,) adds the two largest later rows first and comes out below
-    # the objective of rows (0, 1, 2), the only maximiser
+    # (0.1 + 0.2) + 0.3 is one ulp above 0.1 + (0.2 + 0.3): a bound that
+    # adds the rows in another order can come out below the objective of
+    # rows (0, 1, 2), the only maximiser
     one_column = np.zeros((5, 12))  # C(5, 3) < C(12, 1): row sets are enumerated
     one_column[:3, 2] = (0.1, 0.2, 0.3)
-    cases = [("bound-below-objective", one_column, 3, 1),
-             ("bound-below-objective-transposed", one_column.T.copy(), 1, 3)]
+    # the search adds rows strongest first, 0.3 + 0.2 + 0.1 = 0.6, one ulp
+    # below the index order's sum: a runner-up of 0.1 + 0.2 + 0.3 in one row
+    # ties the maximiser in index order only, and loses the tie-break
+    index_tie = one_column.copy()
+    index_tie[3, 5] = 0.1 + 0.2 + 0.3
+    # a lex-smaller runner-up of 0.6 ties the maximiser, rows (2, 3, 4), in
+    # the search's order only
+    search_tie = np.zeros((5, 12))
+    search_tie[2:, 2] = (0.1, 0.2, 0.3)
+    search_tie[0, 5] = 0.6
+    cases = []
+    for name, Y in [("bound-below-objective", one_column), ("runner-up-ties-in-index-order", index_tie),
+                    ("runner-up-ties-strongest-first", search_tie)]:
+        cases += [(name, Y, 3, 1), (f"{name}-transposed", Y.T.copy(), 1, 3)]
     rng = gaussian_stream(4545)
     for i in range(6):
         shape = (8, 9) if i % 2 else (9, 8)
