@@ -6,6 +6,8 @@ with type and default.  Every run resolves its configuration from those
 defaults, then an optional --config JSON file of that verb's options, then
 explicit flags (flags win), and echoes the resolved configuration into the
 output payload so any result can be reproduced from its own provenance.
+argparse only splits argv; each option's Kind converts its flag text, then
+checks flag and config values alike.  Every usage fault exits 2 with JSON.
 
 Exit codes:
   0  success
@@ -70,40 +72,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(value, convert) -> list:
-    """A comma-separated string or a JSON list, as a list of numbers."""
-    if isinstance(value, str):
-        return [convert(x) for x in value.split(",") if x != ""]
-    return list(value)
-
-
-def _number_list(convert, item_ok) -> Callable:
-    def accepts(value) -> bool:
-        try:
-            return isinstance(value, (str, list)) and all(map(item_ok, _numbers(value, convert)))
-        except ValueError:
-            return False
-
-    return accepts
-
-
 class Kind(NamedTuple):
-    """An option's value type: what argparse converts a flag with, and which
-    JSON values a config file may give (they are checked, never coerced)."""
+    """An option's value type: `convert` turns a flag's text into a value, or
+    raises ValueError; `accepts` checks it, and config values, never coerced."""
 
     what: str
     accepts: Callable
-    convert: Callable | None = None
-    choices: tuple | None = None
+    convert: Callable = str
 
 
 INT = Kind("an integer", _is_int, int)
 COUNT = Kind("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
 FLOAT = Kind("a number", lambda v: _is_int(v) or isinstance(v, float), float)
 TEXT = Kind("a string", lambda v: isinstance(v, str))
-INTS = Kind("a comma-separated integer list", _number_list(int, _is_int))
-FLOATS = Kind("a comma-separated number list", _number_list(float, FLOAT.accepts))
-METHOD = Kind(f"one of {', '.join(METHODS)}", lambda v: v in METHODS, choices=METHODS)
+METHOD = Kind(f"one of {', '.join(METHODS)}", lambda v: v in METHODS)
+
+
+def _list_of(noun: str, item: Kind) -> Kind:
+    return Kind(f"a comma-separated {noun} list",
+                lambda value: isinstance(value, list) and all(map(item.accepts, value)),
+                lambda text: [item.convert(x) for x in text.split(",")])
+
+
+INTS = _list_of("integer", INT)
+FLOATS = _list_of("number", FLOAT)
 
 REQUIRED = object()  # the default of an option that has none
 
@@ -121,11 +113,12 @@ _DIMS = {
     "m": Option(INT, REQUIRED, "submatrix columns"),
 }
 _OUT = {"out": Option(TEXT, None, "output JSON path (default: stdout)")}
+_THREADS = {"threads": Option(COUNT, None, "worker thread cap (results do not depend on it)")}
 
 
 def _scan_options(method: str, restarts: int) -> dict:
     return {
-        "method": Option(METHOD, method),
+        "method": Option(METHOD, method, f"scan method, {METHOD.what}"),
         "restarts": Option(COUNT, restarts),
         "seed": Option(INT, 0),
         "budget": Option(COUNT, EXACT_ENUMERATION_BUDGET),
@@ -139,9 +132,16 @@ class RunConfig:
     threads: int | None
 
 
-def _build_parser(verb) -> argparse.ArgumentParser:
-    """The full verb list, with flags added only to `verb`'s subparser."""
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ValidationError (exit 2, JSON) on a usage fault."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _build_parser(verb, options: dict) -> argparse.ArgumentParser:
+    """The full verb list, with `options` as flags (values kept as text) only on `verb`'s."""
+    parser = _Parser(
         prog="subscan",
         description="Sparse submatrix selection: instances, scan selectors, "
         "thresholds, detection, and Monte Carlo risk.",
@@ -150,15 +150,13 @@ def _build_parser(verb) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"subscan {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (help_text, _, options) in VERBS.items():
+    for name, (help_text, _, _) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
         if name != verb:
             continue
         p.add_argument("--config", help="JSON file of this verb's option values; flags override it")
-        p.add_argument("--threads", type=int, help="worker thread cap (results do not depend on it)")
         for key, opt in options.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.kind.convert,
-                           choices=opt.kind.choices, help=opt.help)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help)
     return parser
 
 
@@ -185,23 +183,25 @@ def parse_args(argv) -> RunConfig:
     """Resolve defaults <- config file <- flags, then validate; raises
     ValidationError listing every violated constraint."""
     argv = list(argv)
-    verb = argv[0] if argv else None
-    # after a space, argparse reads -1e-3, -inf or -1,2 as a flag: join each
-    # negative number, or list starting with one, to its option with "="
-    flags = {"--" + key.replace("_", "-") for key in VERBS.get(verb, (None, None, {}))[2]}
+    verb = argv[0] if argv else None  # when argv parses, its first word is the verb
+    options = {**_THREADS, **VERBS[verb][2]} if verb in VERBS else {}
+    # every option takes one value, so the token after one of the verb's flags
+    # is its value; argparse alone reads -1e-3 or -1,2 there as a flag
+    flags = {"--" + key.replace("_", "-") for key in options}
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in flags and argv[i].startswith("-") and FLOATS.accepts(argv[i]):
+        if argv[i - 1] in flags and argv[i].startswith("-") and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    args = vars(_build_parser(verb).parse_args(argv))
-    verb, config, threads = args.pop("verb"), args.pop("config"), args.pop("threads")
-    options = VERBS[verb][2]
+    args = vars(_build_parser(verb, options).parse_args(argv))
     resolved = {key: opt.default for key, opt in options.items() if opt.default is not REQUIRED}
-    if config:
-        resolved.update(_read_config(config, verb))
-    resolved.update((key, value) for key, value in args.items() if value is not None)
-
+    if args["config"]:
+        resolved.update(_read_config(args["config"], verb))
     problems = {}
     for key, opt in options.items():
+        if args[key] is not None:
+            try:
+                resolved[key] = opt.kind.convert(args[key])
+            except ValueError:  # the text stays, and no number or list kind accepts it
+                resolved[key] = args[key]
         value = resolved.get(key)
         if value is None and opt.default is REQUIRED:
             problems[key] = f"--{key} is required"
@@ -214,10 +214,9 @@ def parse_args(argv) -> RunConfig:
             problems["dims"] = str(exc)
     if verb == "vector-risk" and (resolved["a"] is None) == (resolved["mult"] is None):
         problems["a"] = "exactly one of --a / --mult is required"
-    if threads is not None and threads < 1:
-        problems["threads"] = f"--threads must be >= 1, got {threads}"
     if problems:
         raise ValidationError("; ".join(problems.values()))
+    threads = resolved.pop("threads")
     return RunConfig(verb=verb, options=resolved, threads=threads)
 
 
@@ -246,8 +245,8 @@ def _load_calibration(path) -> detection.DetectionCalibration:
 
 def _generate(opts, threads) -> dict:
     dims = _dims(opts)
-    rows = range(dims.n) if opts["rows"] is None else _numbers(opts["rows"], int)
-    cols = range(dims.m) if opts["cols"] is None else _numbers(opts["cols"], int)
+    rows = range(dims.n) if opts["rows"] is None else opts["rows"]
+    cols = range(dims.m) if opts["cols"] is None else opts["cols"]
     support = make_support(dims, rows, cols)
     obs = generate(dims, support, SignalSpec(opts["a"]), opts["seed"])
     meta_path = save_matrix(obs, opts["out"], support, opts["a"], opts["seed"], opts["meta"])
@@ -266,7 +265,7 @@ def _select(opts, threads) -> dict:
     m = opts["m"] if opts["m"] is not None else meta["m"]
     started = time.perf_counter()
     res = scan(obs, n, m, opts["method"], restarts=opts["restarts"], seed=opts["seed"],
-               budget=opts["budget"], workers=threads)
+               budget=opts["budget"])
     return dict(res.to_dict(), seconds=time.perf_counter() - started)
 
 
@@ -287,7 +286,7 @@ def _calibrate(opts, threads) -> dict:
 def _detect(opts, threads) -> dict:
     obs, _ = load_matrix(opts["matrix"], opts["meta"])
     calib = _load_calibration(opts["calibration"])
-    res = detection.detect(obs, calib, workers=threads)
+    res = detection.detect(obs, calib)
     thresholds = {"linear_crit": calib.linear_crit, "scan_crit": calib.scan_crit}
     return dict(res.to_dict(), thresholds=thresholds)
 
@@ -301,7 +300,7 @@ def _risk(opts, threads) -> dict:
 
 def _sweep(opts, threads) -> dict:
     result = sweep(
-        _dims(opts), _numbers(opts["mult"], float), opts["trials"], opts["seed"],
+        _dims(opts), opts["mult"], opts["trials"], opts["seed"],
         selector_method=opts["method"], restarts=opts["restarts"], budget=opts["budget"],
         workers=threads,
     )

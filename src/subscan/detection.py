@@ -73,10 +73,9 @@ def scan_statistic(
     restarts: int = 10,
     seed: int = 0,
     budget: int = EXACT_ENUMERATION_BUDGET,
-    workers: int | None = None,
 ) -> float:
     """Selector objective over sqrt(n*m)."""
-    res = scan(obs, n, m, method, restarts=restarts, seed=seed, budget=budget, workers=workers)
+    res = scan(obs, n, m, method, restarts=restarts, seed=seed, budget=budget)
     return _normalised(res.objective, n, m)
 
 
@@ -126,7 +125,9 @@ def calibrate(
 
 
 def detect(obs: Observation, calibration: DetectionCalibration, workers: int | None = None) -> DetectionResult:
-    """Reject the all-noise null iff either arm exceeds its calibrated critical value."""
+    """Reject the all-noise null iff either arm exceeds its calibrated critical value.
+
+    `workers` is ignored (one scan, one thread); perfbench/run.py passes it."""
     if obs.dims.shape != calibration.dims.shape:
         raise DimensionMismatchError(
             f"observation is {obs.dims.shape}, calibration expects {calibration.dims.shape}"
@@ -139,7 +140,6 @@ def detect(obs: Observation, calibration: DetectionCalibration, workers: int | N
         method=calibration.method,
         restarts=calibration.restarts,
         seed=derive_seed(calibration.seed, (_DETECT_TAG,)),
-        workers=workers,
     )
     lin_rej = lin > calibration.linear_crit
     scn_rej = scn > calibration.scan_crit

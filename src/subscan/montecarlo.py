@@ -119,9 +119,8 @@ def scan_trials(dims: Dims, planted: Support, a: float, trials: int, seed: int, 
 
     def one_trial(t: int):
         obs = generate(dims, planted, signal, derive_seed(seed, (_NOISE_TAG, t)))
-        # trials parallelize; the scan inside each trial stays serial
         res = scan(obs, dims.n, dims.m, method, restarts=restarts,
-                   seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget, workers=1)
+                   seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget)
         return outcome(obs, res)
 
     # heavy exact trials gain from a second thread and light ones, such as

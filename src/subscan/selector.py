@@ -129,7 +129,7 @@ def scan_exact(
 
     Enumerates only the cheaper axis (see module docstring); raises
     BudgetExceededError when even that side exceeds `budget` subsets.
-    `workers` is accepted and ignored: one scan runs on one thread.
+    `workers` is ignored (one scan, one thread); perfbench/run.py passes it.
 
     The search is a lexicographic depth-first branch-and-bound over the
     k-subsets of the enumerated axis, its rows relabelled strongest first (by
@@ -320,13 +320,12 @@ def scan(
     restarts: int = 20,
     seed: int = 0,
     budget: int = EXACT_ENUMERATION_BUDGET,
-    workers: int | None = None,
 ) -> SelectorResult:
     """Run the scan named by `method` (one of METHODS); each scan ignores the
     options that do not apply to it."""
     # the scans are looked up when called, so a rebound module attribute is used
     if method == "exact":
-        return scan_exact(obs, n, m, budget=budget, workers=workers)
+        return scan_exact(obs, n, m, budget=budget)
     if method == "heuristic":
         return scan_heuristic(obs, n, m, restarts=restarts, seed=seed)
     raise ValidationError(f"method must be one of {METHODS}, got {method!r}")

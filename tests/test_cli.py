@@ -32,7 +32,7 @@ def test_parse_sweep_flags():
          "--mult", "0.5,1,2", "--trials", "100", "--seed", "1"]
     )
     assert cfg.verb == "sweep"
-    assert cfg.options["mult"] == "0.5,1,2"
+    assert cfg.options["mult"] == [0.5, 1.0, 2.0]
     assert cfg.options["trials"] == 100
     assert cfg.options["method"] == "heuristic"  # default
 
@@ -215,12 +215,6 @@ def test_maxgauss_verb(capsys):
     assert 0.9 <= json.loads(out)["result"]["probability"] <= 1.0
 
 
-def test_unknown_flag_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--bogus", "3"])
-    assert exc.value.code == 2
-
-
 def test_selftest_clean_build(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == EXIT_OK
@@ -294,7 +288,7 @@ def test_negative_numbers_parse_after_a_space(capsys, value):
     assert options == parse_args([*head, f"--det-small={value}"]).options
     assert options["det_small"] == float(value)
     mults = parse_args(["sweep", *head[1:9], "--mult", f"{value},1"]).options["mult"]
-    assert mults == f"{value},1"
+    assert mults == [float(value), 1.0]
     code, out, err = run_cli([*head, "--det-small", value], capsys)
     if value == "-inf":
         assert code == EXIT_USAGE and out == ""
@@ -363,7 +357,7 @@ PINNED_OPTIONS = [
     (f"generate {_D} --a 1.5",
      dict(_DIMS, a=1.5, seed=0, rows=None, cols=None, meta=None, out="matrix.csv")),
     (f"generate {_D} --a 1 --seed 4 --rows 1,3 --cols 0,5,7 --meta x.json --out m.csv --threads 2",
-     dict(_DIMS, a=1.0, seed=4, rows="1,3", cols="0,5,7", meta="x.json", out="m.csv")),
+     dict(_DIMS, a=1.0, seed=4, rows=[1, 3], cols=[0, 5, 7], meta="x.json", out="m.csv")),
     ("select --matrix m.csv",
      dict(matrix="m.csv", meta=None, n=None, m=None, method="exact", restarts=20, seed=0,
           budget=_BUDGET, out=None)),
@@ -394,11 +388,11 @@ PINNED_OPTIONS = [
      dict(_DIMS, a=2.0, trials=20, seed=5, method="heuristic", restarts=4, budget=99,
           out="r.json")),
     (f"sweep {_D} --mult 0.5,1,2",
-     dict(_DIMS, mult="0.5,1,2", trials=200, seed=0, method="heuristic", restarts=20,
+     dict(_DIMS, mult=[0.5, 1.0, 2.0], trials=200, seed=0, method="heuristic", restarts=20,
           budget=_BUDGET, out=None, csv=None)),
     (f"sweep {_D} --mult 1 --trials 10 --seed 3 --method exact --restarts 2 --budget 50"
      " --csv g.csv --out s.json --threads 1",
-     dict(_DIMS, mult="1", trials=10, seed=3, method="exact", restarts=2, budget=50,
+     dict(_DIMS, mult=[1.0], trials=10, seed=3, method="exact", restarts=2, budget=50,
           out="s.json", csv="g.csv")),
     ("vector-risk --N 500 --n 4 --mult 2.0",
      dict(N=500, n=4, a=None, mult=2.0, trials=200, seed=0, out=None)),
@@ -432,6 +426,13 @@ def test_verb_help_exits_zero(verb, capsys):
         main([verb, "--help"])
     assert exc.value.code == 0
     assert f"subscan {verb}" in capsys.readouterr().out
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("subscan ")
 
 
 def _config_run(tmp_path, capsys, argv, values):
@@ -483,7 +484,7 @@ def test_config_values_echo_without_coercion(tmp_path, capsys):
 def test_nonpositive_threads_flag_is_usage_error(capsys, threads):
     code, _, err = run_cli(["maxgauss", "--J", "10", "--t", "1", "--threads", threads], capsys)
     assert code == EXIT_USAGE
-    assert f"--threads must be >= 1, got {threads}" in json.loads(err)["detail"]
+    assert f"--threads must be an integer >= 1, got {threads}" in json.loads(err)["detail"]
 
 
 def test_bad_thread_env_var_is_usage_error(monkeypatch, capsys):
@@ -501,15 +502,43 @@ def test_config_keys_belong_to_their_verb(tmp_path, capsys, values):
     assert next(iter(values)) in json.loads(err)["detail"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["selftest", "--out", "x.json"],
-    ["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1", "--method", "brute-force"],
-    ["select", "--matrix", "m.csv", "--method", "brute-force"],
-])
-def test_flags_outside_a_verb_exit_via_argparse(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+_RISK = ["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"]
+_SWEEP = ["sweep", "--N", "8", "--M", "8", "--n", "2", "--m", "2"]
+
+USAGE_FAULTS = {  # id -> (argv, part of the detail); argparse's own faults are JSON too
+    "N_abc": (["risk", "--N", "abc", *_RISK[3:]], "--N must be an integer, got 'abc'"),
+    "a_x": ([*_RISK[:-1], "x"], "--a must be a number, got 'x'"),
+    "method_foo": ([*_RISK, "--method", "foo"], "--method must be one of exact, heuristic"),
+    "risk_method_brute_force": ([*_RISK, "--method", "brute-force"], "got 'brute-force'"),
+    "select_method_brute_force": (["select", "--matrix", "m.csv", "--method", "brute-force"],
+                                  "got 'brute-force'"),
+    "threads_abc": ([*_RISK, "--threads", "abc"], "--threads must be an integer >= 1, got 'abc'"),
+    "threads_0": ([*_RISK, "--threads", "0"], "--threads must be an integer >= 1, got 0"),
+    "bogus_flag": (["classify", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+    "selftest_out": (["selftest", "--out", "x.json"], "unrecognized arguments: --out x.json"),
+    "trials_without_value": ([*_RISK, "--trials"], "--trials: expected one argument"),
+    "no_verb": ([], "required: verb"),
+    "mult_empty_item": ([*_SWEEP, "--mult", "1,,2"],
+                        "--mult must be a comma-separated number list, got '1,,2'"),
+    "rows_empty_item": (["generate", *_SWEEP[1:], "--a", "1", "--rows", "1,,3"],
+                        "--rows must be a comma-separated integer list, got '1,,3'"),
+}
+
+
+@pytest.mark.parametrize("argv, needle", USAGE_FAULTS.values(), ids=USAGE_FAULTS.keys())
+def test_usage_fault_exits_2_with_json(argv, needle, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    payload = json.loads(err)  # one JSON object, nothing else
+    assert payload["error"] == "validation"
+    assert needle in payload["detail"]
+
+
+def test_flag_and_config_values_share_one_check(tmp_path, capsys):
+    _, _, flag_err = run_cli([*_RISK, "--method", "brute-force"], capsys)
+    _, _, config_err = _config_run(tmp_path, capsys, _RISK, {"method": "brute-force"})
+    assert json.loads(flag_err) == json.loads(config_err)
+    assert json.loads(flag_err)["detail"] == "--method must be one of exact, heuristic, got 'brute-force'"
 
 
 _CALIBRATION = {"alpha": 0.1, "scan_crit": 1.0, "linear_crit": 1.0, "trials": 1000,
