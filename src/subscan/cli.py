@@ -139,24 +139,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _flag(key: str) -> str:
+    """The command-line flag of the option named `key`."""
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser(verb, options: dict) -> argparse.ArgumentParser:
-    """The full verb list, with `options` as flags (values kept as text) only on `verb`'s."""
+    """The full verb list, with `options` as flags (values kept as text) only
+    on `verb`'s; flags are never abbreviated."""
     parser = _Parser(
         prog="subscan",
         description="Sparse submatrix selection: instances, scan selectors, "
         "thresholds, detection, and Monte Carlo risk.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"subscan {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_text, _, _) in VERBS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name != verb:
             continue
         p.add_argument("--config", help="JSON file of this verb's option values; flags override it")
         for key, opt in options.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help)
+            p.add_argument(_flag(key), dest=key, help=opt.help)
     return parser
 
 
@@ -187,7 +194,7 @@ def parse_args(argv) -> RunConfig:
     options = {**_THREADS, **VERBS[verb][2]} if verb in VERBS else {}
     # every option takes one value, so the token after one of the verb's flags
     # is its value; argparse alone reads -1e-3 or -1,2 there as a flag
-    flags = {"--" + key.replace("_", "-") for key in options}
+    flags = set(map(_flag, options))
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in flags and argv[i].startswith("-") and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
@@ -204,9 +211,9 @@ def parse_args(argv) -> RunConfig:
                 resolved[key] = args[key]
         value = resolved.get(key)
         if value is None and opt.default is REQUIRED:
-            problems[key] = f"--{key} is required"
+            problems[key] = f"{_flag(key)} is required"
         elif value is not None and not opt.kind.accepts(value):
-            problems[key] = f"--{key} must be {opt.kind.what}, got {value!r}"
+            problems[key] = f"{_flag(key)} must be {opt.kind.what}, got {value!r}"
     if _DIMS.keys() <= options.keys() - problems.keys():
         try:
             _dims(resolved)

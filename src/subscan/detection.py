@@ -113,9 +113,9 @@ def calibrate(
         return linear_statistic(obs), _normalised(res.objective, dims.n, dims.m)
 
     # the null trial is the risk trial at a = 0
-    stats = scan_trials(dims, canonical_support(dims), 0.0, trials, seed, outcome, method=method,
+    stats = scan_trials(dims, canonical_support(dims), (0.0,), trials, seed, outcome, method=method,
                         restarts=restarts, budget=budget, workers=workers)
-    lin, scn = np.array(stats).T
+    lin, scn = np.array(stats)[:, 0].T
     level = 1.0 - alpha / 2.0
     return DetectionCalibration(
         alpha=alpha, scan_crit=_empirical_quantile(scn, level),

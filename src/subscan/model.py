@@ -138,7 +138,7 @@ class Observation:
             raise DimensionMismatchError(
                 f"data shape {data.shape} does not match dims {self.dims.shape}"
             )
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValidationError("observation contains non-finite entries")
         if data.flags.writeable:
             data = data.copy()
@@ -157,29 +157,40 @@ def check_support(shape: tuple[int, int], support: Support) -> None:
             )
 
 
-def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Observation:
-    """Draw Y = S + xi with xi i.i.d. N(0,1) from the stream keyed by seed.
-
-    The noise depends only on (dims, seed), never on the signal, so runs at
-    different signal levels share their noise (common random numbers), and
-    at a = 0 the draw is the pure-noise null.
+def plant(null: Observation, support: Support, signal: SignalSpec) -> Observation:
+    """The noise matrix `null` plus the signal on `support`; `null` is left as
+    it is.  With nothing to add (a = 0 and no means table) the result is
+    `null` itself, so a -0.0 noise cell stays -0.0 rather than becoming +0.0.
     """
+    dims = null.dims
     if len(support.rows) != dims.n or len(support.cols) != dims.m:
         raise DimensionMismatchError(
             f"support is {len(support.rows)}x{len(support.cols)}, dims expect {dims.n}x{dims.m}"
         )
     check_support(dims.shape, support)
-    data = gaussian_stream(seed).standard_normal(dims.shape)
-    if signal.means is not None:
-        if signal.means.shape != (dims.n, dims.m):
-            raise DimensionMismatchError(
-                f"means table shape {signal.means.shape} does not match ({dims.n}, {dims.m})"
-            )
-        data[np.ix_(support.rows, support.cols)] += signal.means
-    elif signal.a != 0.0:
-        data[np.ix_(support.rows, support.cols)] += signal.a
-    data.flags.writeable = False  # freshly drawn, safe to freeze without a copy
+    if signal.means is None and signal.a == 0.0:
+        return null
+    if signal.means is not None and signal.means.shape != (dims.n, dims.m):
+        raise DimensionMismatchError(
+            f"means table shape {signal.means.shape} does not match ({dims.n}, {dims.m})"
+        )
+    data = null.data.copy()
+    data[np.ix_(support.rows, support.cols)] += signal.a if signal.means is None else signal.means
+    data.flags.writeable = False  # a fresh copy, safe to freeze
     return Observation(data, dims)
+
+
+def generate(dims: Dims, support: Support, signal: SignalSpec, seed: int) -> Observation:
+    """Draw Y = S + xi with xi i.i.d. N(0,1) from the stream keyed by seed: a
+    draw step, then `plant`.
+
+    The noise depends only on (dims, seed), never on the signal, so runs at
+    different signal levels share their noise (common random numbers), and
+    at a = 0 the draw is the pure-noise null.
+    """
+    noise = gaussian_stream(seed).standard_normal(dims.shape)
+    noise.flags.writeable = False  # freshly drawn, safe to freeze without a copy
+    return plant(Observation(noise, dims), support, signal)
 
 
 def generate_null(dims: Dims, seed: int) -> Observation:

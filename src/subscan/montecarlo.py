@@ -8,9 +8,13 @@ least favorable configuration.
 
 Trials are independent, draw from streams keyed by (seed, tag, trial index),
 and are aggregated in trial order, so estimates are bit-identical for any
-worker count.  `scan_trials` is the one draw-then-scan trial loop, run at
-signal a for risk and at a = 0 for detection's null calibration.  Failure is
-exact set mismatch; the average overlap fraction is a diagnostic only.
+worker count.  `scan_trials` is the one trial loop, and it is trial-major: a
+trial draws its noise and its selector seed once and scans them at every
+signal level asked for, so the levels of a sweep share the noise draw and
+the heuristic's restart rows, and an exact sweep trial carries one scan per
+level, which the exact fan-out favours.  It runs at one level for risk and
+at a = 0 for detection's null calibration.  Failure is exact set mismatch;
+the average overlap fraction is a diagnostic only.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .model import Dims, SignalSpec, Support, canonical_support, check_signal_level, generate
+from .model import Dims, SignalSpec, Support, canonical_support, check_signal_level, generate, plant
 from .parallel import map_indexed
 from .selector import EXACT_ENUMERATION_BUDGET, scan, vector_select
 from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
@@ -29,6 +33,7 @@ from .thresholds import critical_value
 
 _NOISE_TAG = 0
 _SELECT_TAG = 1
+_NULL = SignalSpec(0.0)
 
 # the exact float64 of scipy.stats.norm.ppf(0.975); statistics.NormalDist
 # gives 1.9599639845400536, one ulp off, which would move every interval
@@ -107,21 +112,30 @@ def _risk_estimate(outcomes, selector_method, dims, a, seed) -> RiskEstimate:
     )
 
 
-def scan_trials(dims: Dims, planted: Support, a: float, trials: int, seed: int, outcome: Callable,
+def scan_trials(dims: Dims, planted: Support, levels, trials: int, seed: int, outcome: Callable,
                 *, method: str, restarts: int, budget: int, workers: int | None) -> list:
-    """[outcome(obs, result) for trial t = 0, 1, ...], in trial order.
+    """[[outcome(obs, result) per signal level] for trial t = 0, 1, ...], in
+    trial order.
 
-    Trial t draws `obs` with mean `a` on the `planted` support from the noise
-    stream (seed, 0, t), so at a = 0 it is the pure-noise null, and scans it
-    serially with `method`, seeded from the select stream (seed, 1, t).
+    The loop is trial-major: trial t draws its pure-noise matrix once, from
+    the stream (seed, 0, t), plants each of `levels` on the `planted` support
+    by generate's own rule, and scans every level serially with `method`,
+    seeded from the select stream (seed, 1, t).  So each level's outcomes
+    equal those of a one-level call, and the heuristic's restart rows, a
+    function of that seed, are drawn once per trial and shared by its levels.
     """
-    signal = SignalSpec(a)
+    signals = [SignalSpec(a) for a in levels]
 
-    def one_trial(t: int):
-        obs = generate(dims, planted, signal, derive_seed(seed, (_NOISE_TAG, t)))
-        res = scan(obs, dims.n, dims.m, method, restarts=restarts,
-                   seed=derive_seed(seed, (_SELECT_TAG, t)), budget=budget)
-        return outcome(obs, res)
+    def one_trial(t: int) -> list:
+        null = generate(dims, planted, _NULL, derive_seed(seed, (_NOISE_TAG, t)))
+        select_seed = derive_seed(seed, (_SELECT_TAG, t))
+        outcomes = []
+        for signal in signals:
+            obs = plant(null, planted, signal)
+            res = scan(obs, dims.n, dims.m, method, restarts=restarts, seed=select_seed,
+                       budget=budget)
+            outcomes.append(outcome(obs, res))
+        return outcomes
 
     # heavy exact trials gain from a second thread and light ones, such as
     # 40x40 with n = m = 4, lose; heuristic trials run faster serially
@@ -140,15 +154,21 @@ def estimate_risk(
 ) -> RiskEstimate:
     """Fraction of trials in which the selector misses the planted canonical
     top-left block."""
+    return _risk_curve(dims, (a,), trials, seed, selector_method, restarts, budget, workers)[0]
+
+
+def _risk_curve(dims, levels, trials, seed, selector_method, restarts, budget, workers) -> list:
+    """[estimate_risk(dims, a, ...) for a in levels], from one trial loop."""
     planted = canonical_support(dims)
     nm = dims.n * dims.m
 
     def outcome(obs, res) -> tuple[bool, float]:
         return res.support != planted, res.support.overlap(planted) / nm
 
-    outcomes = scan_trials(dims, planted, a, trials, seed, outcome, method=selector_method,
-                           restarts=restarts, budget=budget, workers=workers)
-    return _risk_estimate(outcomes, selector_method, dims, a, seed)
+    per_trial = scan_trials(dims, planted, levels, trials, seed, outcome, method=selector_method,
+                            restarts=restarts, budget=budget, workers=workers)
+    return [_risk_estimate([trial[i] for trial in per_trial], selector_method, dims, a, seed)
+            for i, a in enumerate(levels)]
 
 
 def sweep(
@@ -163,10 +183,12 @@ def sweep(
 ) -> SweepResult:
     """Risk curve across multiples of the critical level a_star.
 
-    Every grid point shares the master seed, and the noise streams are keyed
-    by trial index only, so the same noise matrices are re-used at every
-    signal level (common random numbers): the phase transition shows up
-    without Monte Carlo jitter between points.
+    One trial-major loop serves the whole grid: trial t's noise matrix and
+    selector seed are drawn once and scanned at every signal level (common
+    random numbers), so the phase transition shows up without Monte Carlo
+    jitter between points, and each grid point equals `estimate_risk` at its
+    level.  An exact trial carries one scan per level, which makes it heavy
+    enough for the exact fan-out to pay.
     """
     mults = [float(x) for x in a_multipliers]
     if not mults:
@@ -176,17 +198,10 @@ def sweep(
     if sorted(mults) != mults:
         raise ValidationError(f"multipliers must be sorted ascending, got {mults}")
     a_star = critical_value(dims)
-    grid = []
-    for mult in mults:
-        est = estimate_risk(
-            dims, mult * a_star, trials, seed,
-            selector_method=selector_method, restarts=restarts,
-            budget=budget, workers=workers,
-        )
-        grid.append((mult * a_star, est))
-    return SweepResult(
-        grid=tuple(grid), multipliers=tuple(mults), dims=dims, a_star_used=a_star
-    )
+    levels = [mult * a_star for mult in mults]
+    ests = _risk_curve(dims, levels, trials, seed, selector_method, restarts, budget, workers)
+    return SweepResult(grid=tuple(zip(levels, ests)), multipliers=tuple(mults), dims=dims,
+                       a_star_used=a_star)
 
 
 def vector_risk(

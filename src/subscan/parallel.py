@@ -6,7 +6,7 @@ identical to a sequential run; `map_indexed` runs it over 0..count-1.
 
 Threads fan out whole Monte Carlo trials, never the inside of one scan: the
 trials that run the exact scan (`montecarlo.scan_trials`, behind
-`estimate_risk` and `calibrate`), and `vector_risk` and
+`estimate_risk`, `sweep` and `calibrate`), and `vector_risk` and
 `max_gauss_exceedance`, whose trials are each one long Gaussian draw.  A
 heuristic trial is a loop of small array calls that holds the GIL most of
 the time, so those trials run serially whatever worker count is asked for.

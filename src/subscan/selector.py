@@ -21,6 +21,7 @@ every scan settles its ties through them.  Every top-k selection is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -280,13 +281,18 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
     return rows, cols, obj, cycles
 
 
+@functools.lru_cache(maxsize=1)
 def _restart_rows(N: int, n: int, restarts: int, seed: int) -> np.ndarray:
     """Initial row set of each restart r: n of N drawn without replacement from
-    gaussian_stream(seed, (r,)), sorted."""
-    return np.array([
+    gaussian_stream(seed, (r,)), sorted; read-only.  The last call is kept, so
+    the signal levels of one Monte Carlo trial, which share a seed, share one
+    draw."""
+    rows = np.array([
         np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
         for r in range(restarts)
     ])
+    rows.flags.writeable = False
+    return rows
 
 
 def scan_heuristic(

@@ -504,6 +504,7 @@ def test_config_keys_belong_to_their_verb(tmp_path, capsys, values):
 
 _RISK = ["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"]
 _SWEEP = ["sweep", "--N", "8", "--M", "8", "--n", "2", "--m", "2"]
+_CLASSIFY = ["classify", "--N", "100", "--M", "100", "--n", "5", "--m", "5", "--a", "1"]
 
 USAGE_FAULTS = {  # id -> (argv, part of the detail); argparse's own faults are JSON too
     "N_abc": (["risk", "--N", "abc", *_RISK[3:]], "--N must be an integer, got 'abc'"),
@@ -522,6 +523,14 @@ USAGE_FAULTS = {  # id -> (argv, part of the detail); argparse's own faults are 
                         "--mult must be a comma-separated number list, got '1,,2'"),
     "rows_empty_item": (["generate", *_SWEEP[1:], "--a", "1", "--rows", "1,,3"],
                         "--rows must be a comma-separated integer list, got '1,,3'"),
+    # a fault names the flag, not the option's config key
+    "det_large_x": ([*_CLASSIFY, "--det-large", "x"], "--det-large must be a number, got 'x'"),
+    # flags are never abbreviated, whatever their value looks like
+    "abbreviated_flag_negative_value": ([*_CLASSIFY, "--det-s", "-1e-3"],
+                                        "unrecognized arguments: --det-s -1e-3"),
+    "abbreviated_flag": ([*_CLASSIFY, "--marg", "0.1"], "unrecognized arguments: --marg 0.1"),
+    "unknown_verb": (["bogus"], "invalid choice: 'bogus' (choose from "
+                     + ", ".join(f"'{verb}'" for verb in VERBS) + ")"),
 }
 
 

@@ -16,6 +16,7 @@ from subscan import (
     generate_null,
     make_support,
 )
+from subscan.model import plant
 
 
 def test_dims_accessors():
@@ -164,6 +165,19 @@ def test_heterogeneous_means_table():
     assert np.allclose(delta[np.ix_(s.rows, s.cols)], means)
     delta[np.ix_(s.rows, s.cols)] = 0.0
     assert np.all(delta == 0.0)
+
+
+def test_plant_keeps_negative_zero_noise_at_zero_signal():
+    d = Dims(3, 3, 2, 2)
+    data = np.zeros(d.shape)
+    data[0, 0] = -0.0  # inside the planted block
+    data.flags.writeable = False
+    null = Observation(data, d)
+    planted = plant(null, canonical_support(d), SignalSpec(0.0))
+    assert np.signbit(planted.data[0, 0])
+    # a positive level adds on a copy and leaves the null as it was
+    raised = plant(null, canonical_support(d), SignalSpec(1.0))
+    assert raised.data[0, 0] == 1.0 and np.signbit(null.data[0, 0])
 
 
 def test_generate_rejects_mismatched_support():

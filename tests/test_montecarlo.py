@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -95,21 +96,27 @@ def test_risk_does_not_depend_on_planted_location():
     a = critical_value(d)
     corner = estimate_risk(d, a, 150, seed=31, selector_method="exact")
     planted = make_support(d, [7, 11, 16], [2, 9, 14])
-    misses = scan_trials(d, planted, a, 150, 31, lambda obs, res: res.support != planted,
-                         method="exact", restarts=20, budget=EXACT_ENUMERATION_BUDGET, workers=None)
+    misses = [miss for miss, in scan_trials(
+        d, planted, (a,), 150, 31, lambda obs, res: res.support != planted,
+        method="exact", restarts=20, budget=EXACT_ENUMERATION_BUDGET, workers=None)]
     low, high = wilson_interval(sum(misses), 150)
     half = (corner.ci_high - corner.ci_low) / 2 + (high - low) / 2
     assert abs(corner.risk - sum(misses) / 150) <= 2 * half
 
 
-def test_sweep_single_point_composition():
+def test_sweep_grid_composition():
+    # the trial-major sweep scans each trial's one noise draw at every level;
+    # each grid point must still equal a one-level estimate_risk, bit for bit
     d = Dims(20, 20, 3, 3)
-    result = sweep(d, [1.0], 50, seed=41, selector_method="exact")
     a_star = critical_value(d)
-    assert result.a_star_used == a_star
-    (a, est), = result.grid
-    assert a == a_star
-    assert est == estimate_risk(d, a_star, 50, seed=41, selector_method="exact")
+    mults = [0.5, 1.0, 2.0]
+    for method, workers in itertools.product(("exact", "heuristic"), (1, 2)):
+        result = sweep(d, mults, 30, seed=41, selector_method=method, restarts=4, workers=workers)
+        assert result.a_star_used == a_star
+        assert [a for a, _ in result.grid] == [mult * a_star for mult in mults]
+        for a, est in result.grid:
+            assert est == estimate_risk(d, a, 30, seed=41, selector_method=method, restarts=4,
+                                        workers=workers)
 
 
 def test_sweep_guards():

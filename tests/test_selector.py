@@ -441,9 +441,14 @@ def test_heuristic_pinned_results(make, n, m, restarts, seed, rows, cols, iterat
 def test_restart_rows_match_their_streams(seed):
     from subscan.selector import _restart_rows
 
+    # the last call is memoised: alternating seeds must still give fresh
+    # draws, and the shared array must be read-only
     for N, n in ((50, 5), (7, 7), (300, 2)):
-        expected = [np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False)) for r in range(41)]
-        assert np.array_equal(_restart_rows(N, n, 41, seed), np.array(expected))
+        for s in (seed, seed + 1, seed):
+            expected = [np.sort(gaussian_stream(s, (r,)).choice(N, size=n, replace=False)) for r in range(41)]
+            rows = _restart_rows(N, n, 41, s)
+            assert np.array_equal(rows, np.array(expected))
+            assert not rows.flags.writeable
 
 
 def test_heuristic_restart_guard():
