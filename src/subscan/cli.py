@@ -8,15 +8,16 @@ explicit flags (flags win), and echoes the resolved configuration into the
 output payload so any result can be reproduced from its own provenance.
 argparse only splits argv; each option's Kind converts its flag text, then
 checks flag and config values alike.  Every usage fault exits 2 with JSON.
+The worker count comes from --threads alone (default 1).
 
-Exit codes:
+Exit codes (FAULTS maps each fault class to its code and JSON error name):
   0  success
   1  selftest found a failing property
-  2  usage / validation error
+  2  usage / validation error, including malformed JSON input file content
   3  dimension mismatch
   4  enumeration budget exceeded
   5  closed-form domain error
-  6  I/O error
+  6  I/O error, such as a file that cannot be read or written
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .matrixio import load_matrix, save_matrix
+from .matrixio import load_matrix, read_json_object, save_matrix
 from .model import Dims, SignalSpec, generate, make_support
 from .montecarlo import estimate_risk, max_gauss_exceedance, sweep, vector_risk
-from .parallel import ENV_THREADS
 from .selector import EXACT_ENUMERATION_BUDGET, METHODS, scan
 from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
 from .thresholds import (
@@ -60,11 +60,20 @@ EXIT_BUDGET = 4
 EXIT_DOMAIN = 5
 EXIT_IO = 6
 
-_EPILOG = f"""exit codes:
-  0 success; 1 selftest failure; 2 usage/validation error; 3 dimension
-  mismatch; 4 enumeration budget exceeded; 5 domain error; 6 I/O error.
-Default worker count comes from the {ENV_THREADS} environment variable;
---threads overrides it without changing any result.
+# fault class -> (exit code, the "error" name of the JSON object on stderr)
+FAULTS = {
+    ValidationError: (EXIT_USAGE, "validation"),
+    DimensionMismatchError: (EXIT_DIMENSION, "dimension_mismatch"),
+    BudgetExceededError: (EXIT_BUDGET, "budget_exceeded"),
+    DomainError: (EXIT_DOMAIN, "domain"),
+    OSError: (EXIT_IO, "io"),
+}
+
+_EPILOG = f"""exit codes; a fault prints {{"error": <name>, "detail": ...}} on stderr:
+  0 success; 1 selftest failure;
+  {"; ".join(f"{code} {name}" for code, name in FAULTS.values())}.
+A file that cannot be read is io; malformed file content is validation.
+--threads sets the worker count (default 1) without changing any result.
 """
 
 
@@ -168,14 +177,7 @@ def _build_parser(verb, options: dict) -> argparse.ArgumentParser:
 
 
 def _read_config(path, verb: str) -> dict:
-    try:
-        values = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"unreadable config file {path}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
+    values = read_json_object(path, "config")
     unknown = sorted(set(values) - set(VERBS[verb][2]))
     if unknown:
         raise ValidationError(f"unknown config file keys for {verb}: {', '.join(unknown)}")
@@ -236,17 +238,17 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _load_calibration(path) -> detection.DetectionCalibration:
+    raw = read_json_object(path, "calibration")
+    data = raw.get("result", raw)
     # each field has the kind of the calibrate option it echoes
     kinds = dict(VERBS["calibrate"][2], scan_crit=Option(FLOAT), linear_crit=Option(FLOAT))
-    try:  # an unreadable file is an OSError, outside this clause
-        raw = json.loads(Path(path).read_text())
-        data = raw.get("result", raw)
+    try:
         values = {f.name: data[f.name] for f in fields(detection.DetectionCalibration)}
         for key, value in values.items():
             if key in kinds and not kinds[key].kind.accepts(value):
                 raise TypeError(f"{key} must be {kinds[key].kind.what}, got {value!r}")
         return detection.DetectionCalibration(**dict(values, dims=Dims(**values["dims"])))
-    except (AttributeError, TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValidationError(f"malformed calibration file {path}: {exc}") from exc
 
 
@@ -423,23 +425,11 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv if argv is not None else sys.argv[1:])
-        return run(config)
-    except ValidationError as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except DimensionMismatchError as exc:
-        print(json.dumps({"error": "dimension_mismatch", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_DIMENSION
-    except BudgetExceededError as exc:
-        print(json.dumps({"error": "budget_exceeded", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    except DomainError as exc:
-        print(json.dumps({"error": "domain", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": "io", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
-        return EXIT_IO
+        return run(parse_args(argv if argv is not None else sys.argv[1:]))
+    except tuple(FAULTS) as exc:
+        code, name = next(row for fault, row in FAULTS.items() if isinstance(exc, fault))
+        print(json.dumps({"error": name, "detail": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Matrix file: CSV of float64 values, N rows x M columns, no header, printed
 with 17 significant digits (exact float64 round trip).  Companion metadata:
-a small JSON file recording dims, support, signal level and seed.
+a small JSON file recording dims, support, signal level and seed.  Every
+JSON input file (metadata, calibration, config) is read by `read_json_object`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ _FMT = "%.17g"
 def default_meta_path(matrix_path) -> Path:
     p = Path(matrix_path)
     return p.with_suffix(p.suffix + ".meta.json")
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the `what` file at `path`.  A file that cannot be
+    read raises OSError; content that is not UTF-8, not JSON (or nested too
+    deeply to decode) or not an object raises ValidationError."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"unreadable {what} file {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} file {path} must hold a JSON object")
+    return value
 
 
 def save_matrix(
@@ -49,16 +63,14 @@ def save_matrix(
 
 def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
     """Read a CSV matrix and its metadata; raises ValidationError if a cell is
-    not a number or the rows are ragged, and DimensionMismatchError if the
-    file contents disagree with the recorded dims."""
+    not a number, the rows are ragged or the metadata is malformed, and
+    DimensionMismatchError if the file contents disagree with the recorded
+    dims."""
     matrix_path = Path(matrix_path)
     meta_path = Path(meta_path) if meta_path is not None else default_meta_path(matrix_path)
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"unreadable metadata file {meta_path}: {exc}") from exc
+    meta = read_json_object(meta_path, "metadata")
     for key in ("N", "M", "n", "m"):
-        if not isinstance(meta, dict) or key not in meta:
+        if key not in meta:
             raise ValidationError(f"metadata file {meta_path} missing key {key!r}")
     dims = Dims(meta["N"], meta["M"], meta["n"], meta["m"])
     try:

@@ -2,7 +2,9 @@
 
 `map_windowed` is the one thread pool: it keeps a bounded window of items in
 flight and yields results in input order, so any reduction over them is
-identical to a sequential run; `map_indexed` runs it over 0..count-1.
+identical to a sequential run; `map_indexed` runs it over 0..count-1.  The
+worker count has one source, the caller's `workers` argument (the CLI's
+--threads); None means one worker.
 
 Threads fan out whole Monte Carlo trials, never the inside of one scan: the
 trials that run the exact scan (`montecarlo.scan_trials`, behind
@@ -16,29 +18,17 @@ small blocks, runs on one thread.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import ValidationError
-
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_THREADS = "SUBSCAN_THREADS"
-
 
 def resolve_workers(workers: int | None) -> int:
-    """Explicit value wins; else the SUBSCAN_THREADS env var; else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(ENV_THREADS)
-    if not env:
-        return 1
-    if not env.strip().isdigit() or int(env) < 1:
-        raise ValidationError(f"{ENV_THREADS} must be an integer >= 1, got {env!r}")
-    return int(env)
+    """The worker count asked for, at least 1; None means 1."""
+    return max(1, int(workers or 1))
 
 
 def map_windowed(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> Iterator[R]:

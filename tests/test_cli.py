@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from subscan.cli import (
     parse_args,
 )
 from subscan.errors import ValidationError
+from subscan.matrixio import default_meta_path
 
 VERBS = ["generate", "select", "classify", "calibrate", "detect", "risk", "sweep",
          "vector-risk", "maxgauss", "selftest"]
@@ -318,14 +320,12 @@ def test_generate_requires_signal_level(capsys):
     assert "--a is required" in json.loads(err)["detail"]
 
 
-def test_worker_env_var_default(monkeypatch):
+def test_resolve_workers_defaults_to_one():
     from subscan.parallel import resolve_workers
 
-    monkeypatch.delenv("SUBSCAN_THREADS", raising=False)
     assert resolve_workers(None) == 1
-    monkeypatch.setenv("SUBSCAN_THREADS", "6")
-    assert resolve_workers(None) == 6
-    assert resolve_workers(2) == 2  # explicit value wins
+    assert resolve_workers(0) == 1
+    assert resolve_workers(2) == 2  # the count asked for
 
 
 _NOT_UTF8 = b"\xff\xfe\x00garbage"
@@ -487,14 +487,6 @@ def test_nonpositive_threads_flag_is_usage_error(capsys, threads):
     assert f"--threads must be an integer >= 1, got {threads}" in json.loads(err)["detail"]
 
 
-def test_bad_thread_env_var_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("SUBSCAN_THREADS", "abc")
-    code, _, err = run_cli(["maxgauss", "--J", "10", "--t", "1", "--trials", "100"], capsys)
-    assert code == EXIT_USAGE
-    payload = json.loads(err)
-    assert payload["error"] == "validation" and "SUBSCAN_THREADS" in payload["detail"]
-
-
 @pytest.mark.parametrize("values", [{"alpha": 0.3}, {"threads": 4}])
 def test_config_keys_belong_to_their_verb(tmp_path, capsys, values):
     code, _, err = _config_run(tmp_path, capsys, ["maxgauss", "--J", "10", "--t", "1"], values)
@@ -560,29 +552,56 @@ def _detect_with_calibration(tmp_path, capsys, text):
     run_cli(["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",
              "--out", str(matrix)], capsys)
     calib = tmp_path / "calib.json"
-    if text is not None:
-        calib.write_bytes(text if isinstance(text, bytes) else text.encode())
+    calib.write_text(text)
     code, _, err = run_cli(["detect", "--matrix", str(matrix), "--calibration", str(calib)], capsys)
     return code, json.loads(err)
 
 
+# a calibration file that is a JSON object but not a calibration; the file
+# faults every JSON input shares are in test_json_file_fault_exits_with_json
 @pytest.mark.parametrize("text", [
-    json.dumps([1, 2]),
     json.dumps(dict(_CALIBRATION, dims={"N": 6})),
     json.dumps(dict(_CALIBRATION, scan_crit="x")),
     json.dumps(dict(_CALIBRATION, restarts="3")),
     json.dumps({k: v for k, v in _CALIBRATION.items() if k != "scan_crit"}),
-    "{not json",
-    _NOT_UTF8,
-], ids=["not_an_object", "dims_missing_keys", "scan_crit_string", "restarts_string",
-        "missing_field", "not_json", "not_utf8"])
+], ids=["dims_missing_keys", "scan_crit_string", "restarts_string", "missing_field"])
 def test_malformed_calibration_is_usage_error(tmp_path, capsys, text):
     code, err = _detect_with_calibration(tmp_path, capsys, text)
     assert code == EXIT_USAGE
     assert "malformed calibration file" in err["detail"]
 
 
-def test_missing_calibration_file_is_io_error(tmp_path, capsys):
-    code, err = _detect_with_calibration(tmp_path, capsys, None)
-    assert code == EXIT_IO
-    assert err["error"] == "io"
+JSON_FILE_FAULTS = {  # id -> (make the faulty file at a path, exit code, error name, in detail)
+    "missing": (lambda path: None, EXIT_IO, "io", "No such file"),
+    "directory": (Path.mkdir, EXIT_IO, "io", "Is a directory"),
+    "not_utf8": (lambda path: path.write_bytes(_NOT_UTF8), EXIT_USAGE, "validation", "unreadable"),
+    "not_json": (lambda path: path.write_text("{not json"), EXIT_USAGE, "validation", "unreadable"),
+    "array": (lambda path: path.write_text("[1, 2]"), EXIT_USAGE, "validation",
+              "must hold a JSON object"),
+    "too_deep": (lambda path: path.write_text("[" * 100_000 + "]" * 100_000), EXIT_USAGE,
+                 "validation", "unreadable"),
+}
+
+
+@pytest.mark.parametrize("fault", JSON_FILE_FAULTS)
+@pytest.mark.parametrize("role", ["config", "calibration", "meta"])
+def test_json_file_fault_exits_with_json(tmp_path, capsys, role, fault):
+    # every JSON input goes through one reader: a file that cannot be read is
+    # an I/O fault (6), content that is not a JSON object a usage fault (2)
+    make, expected_code, error, needle = JSON_FILE_FAULTS[fault]
+    matrix = tmp_path / "m.csv"
+    generated = run_cli(["generate", "--N", "6", "--M", "6", "--n", "2", "--m", "2", "--a", "1",
+                         "--out", str(matrix)], capsys)
+    assert generated[0] == EXIT_OK
+    path = {"config": tmp_path / "run.json", "calibration": tmp_path / "calib.json",
+            "meta": default_meta_path(matrix)}[role]
+    argv = {"config": [*_RISK, "--config", str(path)],
+            "calibration": ["detect", "--matrix", str(matrix), "--calibration", str(path)],
+            "meta": ["select", "--matrix", str(matrix)]}[role]
+    path.unlink(missing_ok=True)
+    make(path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == expected_code and out == ""
+    payload = json.loads(err)  # one JSON object, nothing else
+    assert isinstance(payload, dict) and payload["error"] == error
+    assert str(path) in payload["detail"] and needle in payload["detail"]

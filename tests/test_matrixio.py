@@ -67,6 +67,9 @@ def test_unreadable_metadata(tmp_path):
     default_meta_path(path).write_text(json.dumps({"N": 2, "M": 2}))
     with pytest.raises(ValidationError, match="missing key"):
         load_matrix(path)
+    default_meta_path(path).write_text(json.dumps([1, 2]))
+    with pytest.raises(ValidationError, match="must hold a JSON object"):
+        load_matrix(path)
 
 
 def test_single_column_matrix_round_trip(tmp_path):

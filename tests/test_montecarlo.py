@@ -81,14 +81,6 @@ def test_estimate_risk_deterministic_across_workers():
         assert runs[0] == runs[1]
 
 
-def test_estimate_risk_unaffected_by_thread_env(monkeypatch):
-    d = Dims(15, 15, 2, 2)
-    serial = estimate_risk(d, 2.0, 24, seed=22, selector_method="exact", workers=1)
-    monkeypatch.setenv("SUBSCAN_THREADS", "3")
-    via_env = estimate_risk(d, 2.0, 24, seed=22, selector_method="exact")
-    assert serial == via_env
-
-
 def test_risk_does_not_depend_on_planted_location():
     # same protocol, two different planted blocks: estimates agree within
     # twice the combined interval half-widths

@@ -245,6 +245,25 @@ def test_exact_matches_brute_force_under_rounding(Y, n, m):
     assert (exact.support, exact.objective) == (brute.support, brute.objective)
 
 
+def test_exact_success_survives_raised_means():
+    # the least-favourable premise behind the risk curves: raising a planted
+    # cell by d >= 0 changes sum_S Y - sum_P Y by -d * [cell not in S] <= 0,
+    # so an exact success at mean a stays one when means >= a
+    successes = 0
+    for N, seed in itertools.product((20, 30), range(25)):
+        d = Dims(N, N, 3, 3)
+        rng = np.random.default_rng([N, seed])
+        planted = make_support(d, rng.choice(N, 3, replace=False), rng.choice(N, 3, replace=False))
+        a = rng.uniform(0.5, 1.3) * critical_value(d)
+        raised = rng.random((3, 3)) < 0.5
+        means = a + raised * rng.exponential(0.5, (3, 3))
+        if scan_exact(generate(d, planted, SignalSpec(a), seed), 3, 3).support == planted:
+            successes += 1
+            obs = generate(d, planted, SignalSpec(a, means), seed)
+            assert scan_exact(obs, 3, 3).support == planted
+    assert successes >= 10  # enough successes for the check to bite
+
+
 def test_exact_scan_survives_an_emptied_block():
     # one of 800 null and planted scans tried where the pre-filter drops every
     # child of a block; pinned to the result of the full enumeration this
