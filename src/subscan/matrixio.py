@@ -72,7 +72,10 @@ def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
     for key in ("N", "M", "n", "m"):
         if key not in meta:
             raise ValidationError(f"metadata file {meta_path} missing key {key!r}")
-    dims = Dims(meta["N"], meta["M"], meta["n"], meta["m"])
+    try:
+        dims = Dims(meta["N"], meta["M"], meta["n"], meta["m"])
+    except ValidationError as exc:
+        raise ValidationError(f"malformed metadata file {meta_path}: {exc}") from exc
     try:
         data = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
     except ValueError as exc:

@@ -11,10 +11,10 @@ and are aggregated in trial order, so estimates are bit-identical for any
 worker count.  `scan_trials` is the one trial loop, and it is trial-major: a
 trial draws its noise and its selector seed once and scans them at every
 signal level asked for, so the levels of a sweep share the noise draw and
-the heuristic's restart rows, and an exact sweep trial carries one scan per
-level, which the exact fan-out favours.  It runs at one level for risk and
-at a = 0 for detection's null calibration.  Failure is exact set mismatch;
-the average overlap fraction is a diagnostic only.
+the heuristic's restart rows.  `parallel.map_indexed` fans the trials out
+only when the first one is heavy, whatever the method.  The loop runs at one
+level for risk and at a = 0 for detection's null calibration.  Failure is
+exact set mismatch; the average overlap fraction is a diagnostic only.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ def scan_trials(dims: Dims, planted: Support, levels, trials: int, seed: int, ou
             outcomes.append(outcome(obs, res))
         return outcomes
 
-    # heavy exact trials gain from a second thread and light ones, such as
-    # 40x40 with n = m = 4, lose; heuristic trials run faster serially
-    return map_indexed(one_trial, trials, workers if method == "exact" else 1)
+    return map_indexed(one_trial, trials, workers)
 
 
 def estimate_risk(
@@ -187,8 +185,8 @@ def sweep(
     selector seed are drawn once and scanned at every signal level (common
     random numbers), so the phase transition shows up without Monte Carlo
     jitter between points, and each grid point equals `estimate_risk` at its
-    level.  An exact trial carries one scan per level, which makes it heavy
-    enough for the exact fan-out to pay.
+    level.  A trial carries one scan per level, so a long grid sooner makes
+    it heavy enough for `parallel.map_indexed` to fan the trials out.
     """
     mults = [float(x) for x in a_multipliers]
     if not mults:

@@ -7,23 +7,26 @@ worker count has one source, the caller's `workers` argument (the CLI's
 --threads); None means one worker.
 
 Threads fan out whole Monte Carlo trials, never the inside of one scan: the
-trials that run the exact scan (`montecarlo.scan_trials`, behind
-`estimate_risk`, `sweep` and `calibrate`), and `vector_risk` and
-`max_gauss_exceedance`, whose trials are each one long Gaussian draw.  A
-heuristic trial is a loop of small array calls that holds the GIL most of
-the time, so those trials run serially whatever worker count is asked for.
-A single exact scan, whose branch and bound prunes most of its work to a few
-small blocks, runs on one thread.
+trial loops of `montecarlo.scan_trials` (behind `estimate_risk`, `sweep` and
+`calibrate`), `vector_risk` and `max_gauss_exceedance`.  Light trials, exact
+or heuristic, lose more to futures and GIL hand-offs than a second thread
+gains, so `map_indexed` times item 0 alone and fans out the rest only if it
+took at least FAN_OUT_SECONDS; results come back in the same order either
+way.  A single exact scan, whose branch and bound prunes most of its work to
+a few small blocks, runs on one thread.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+FAN_OUT_SECONDS = 0.005  # an item 0 this slow marks a loop heavy enough to gain from threads
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -53,6 +56,11 @@ def map_windowed(fn: Callable[[T], R], items: Iterable[T], workers: int | None =
 
 
 def map_indexed(fn: Callable[[int], R], count: int, workers: int | None = None) -> list[R]:
-    """[fn(0), ..., fn(count-1)], computed with up to `workers` threads (none for one item)."""
-    nw = resolve_workers(workers)
-    return list(map_windowed(fn, range(count), nw if count > 1 else 1))
+    """[fn(0), ..., fn(count-1)], each computed once; the items after fn(0), if more
+    than one, fan out to `workers` threads only if fn(0), timed alone, took FAN_OUT_SECONDS."""
+    if count < 1:
+        return []
+    start = perf_counter()
+    first = fn(0)
+    heavy = count > 2 and perf_counter() - start >= FAN_OUT_SECONDS
+    return [first, *map_windowed(fn, range(1, count), workers if heavy else 1)]

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import parallel
 from .detection import calibrate
 from .model import Dims, Observation, make_support
 from .montecarlo import _Z95, estimate_risk, max_gauss_exceedance, sweep, vector_risk, wilson_interval
@@ -121,7 +122,11 @@ def worker_dependent() -> list[str]:
         "vector": lambda w: vector_risk(2000, 5, 4.0, 50, 8, workers=w),
         "maxgauss": lambda w: max_gauss_exceedance(1000, 1.0, 200, 9, workers=w),
     }
-    return [name for name, result in runs.items() if not result(1) == result(4) == result(8)]
+    gate, parallel.FAN_OUT_SECONDS = parallel.FAN_OUT_SECONDS, 0.0  # fan out even these light trials
+    try:
+        return [name for name, result in runs.items() if not result(1) == result(4) == result(8)]
+    finally:
+        parallel.FAN_OUT_SECONDS = gate
 
 
 def likelihood_mismatches() -> int:

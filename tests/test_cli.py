@@ -332,14 +332,12 @@ _NOT_UTF8 = b"\xff\xfe\x00garbage"
 _META = json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}).encode()
 
 
-@pytest.mark.parametrize("body, meta", [
-    ("1,2\n3,x\n", _META), ("1,2\n3,4,5\n", _META),
-    ("1,2\n3,4\n", _NOT_UTF8), ("1,2\n3,4\n", b"5"), ("1,2\n3,4\n", b"null"),
-], ids=["non_numeric", "ragged", "meta_not_utf8", "meta_number", "meta_null"])
-def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body, meta):
+# the metadata file's own faults are in test_json_file_fault_exits_with_json
+@pytest.mark.parametrize("body", ["1,2\n3,x\n", "1,2\n3,4,5\n"], ids=["non_numeric", "ragged"])
+def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body):
     matrix = tmp_path / "bad.csv"
     matrix.write_text(body)
-    (tmp_path / "bad.csv.meta.json").write_bytes(meta)
+    (tmp_path / "bad.csv.meta.json").write_bytes(_META)
     code, _, err = run_cli(["select", "--matrix", str(matrix)], capsys)
     assert code == EXIT_USAGE
     payload = json.loads(err)
@@ -458,8 +456,6 @@ def _config_run(tmp_path, capsys, argv, values):
     (["select", "--matrix", "m.csv"], {"out": 3}, "--out must be a string, got 3"),
     (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"],
      {"method": "brute-force"}, "--method must be one of exact, heuristic"),
-    pytest.param(["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], _NOT_UTF8,
-                 "unreadable config file", id="not_utf8"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, argv, values, needle):
     code, out, err = _config_run(tmp_path, capsys, argv, values)
@@ -571,15 +567,17 @@ def test_malformed_calibration_is_usage_error(tmp_path, capsys, text):
     assert "malformed calibration file" in err["detail"]
 
 
+_UNREADABLE, _NOT_OBJECT = "unreadable {what} file {path}: ", "{what} file {path} must hold a JSON object"
 JSON_FILE_FAULTS = {  # id -> (make the faulty file at a path, exit code, error name, in detail)
     "missing": (lambda path: None, EXIT_IO, "io", "No such file"),
     "directory": (Path.mkdir, EXIT_IO, "io", "Is a directory"),
-    "not_utf8": (lambda path: path.write_bytes(_NOT_UTF8), EXIT_USAGE, "validation", "unreadable"),
-    "not_json": (lambda path: path.write_text("{not json"), EXIT_USAGE, "validation", "unreadable"),
-    "array": (lambda path: path.write_text("[1, 2]"), EXIT_USAGE, "validation",
-              "must hold a JSON object"),
+    "not_utf8": (lambda path: path.write_bytes(_NOT_UTF8), EXIT_USAGE, "validation", _UNREADABLE),
+    "not_json": (lambda path: path.write_text("{not json"), EXIT_USAGE, "validation", _UNREADABLE),
+    "array": (lambda path: path.write_text("[1, 2]"), EXIT_USAGE, "validation", _NOT_OBJECT),
+    "number": (lambda path: path.write_text("5"), EXIT_USAGE, "validation", _NOT_OBJECT),
+    "null": (lambda path: path.write_text("null"), EXIT_USAGE, "validation", _NOT_OBJECT),
     "too_deep": (lambda path: path.write_text("[" * 100_000 + "]" * 100_000), EXIT_USAGE,
-                 "validation", "unreadable"),
+                 "validation", _UNREADABLE),
 }
 
 
@@ -604,4 +602,5 @@ def test_json_file_fault_exits_with_json(tmp_path, capsys, role, fault):
     assert code == expected_code and out == ""
     payload = json.loads(err)  # one JSON object, nothing else
     assert isinstance(payload, dict) and payload["error"] == error
-    assert str(path) in payload["detail"] and needle in payload["detail"]
+    what = {"config": "config", "calibration": "calibration", "meta": "metadata"}[role]
+    assert str(path) in payload["detail"] and needle.format(what=what, path=path) in payload["detail"]

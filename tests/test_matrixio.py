@@ -72,6 +72,20 @@ def test_unreadable_metadata(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("dims, problem", [
+    ({"N": 6.0, "M": 6, "n": 2, "m": 2}, "N must be an integer, got 6.0"),
+    ({"N": 6, "M": 6, "n": 7, "m": 2}, "need n <= N, got n=7 > N=6"),
+], ids=["float_N", "n_above_N"])
+def test_bad_metadata_dims_name_the_file(tmp_path, dims, problem):
+    path = tmp_path / "m.csv"
+    path.write_text("0.0\n")
+    meta_path = default_meta_path(path)
+    meta_path.write_text(json.dumps(dims))
+    with pytest.raises(ValidationError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"malformed metadata file {meta_path}: {problem}"
+
+
 def test_single_column_matrix_round_trip(tmp_path):
     d = Dims(5, 1, 2, 1)
     obs = generate(d, make_support(d, [0, 4], [0]), SignalSpec(2.0), 3)

@@ -13,6 +13,7 @@ from subscan import (
     estimate_risk,
     make_support,
     max_gauss_exceedance,
+    parallel,
     sweep,
     vector_risk,
     wilson_interval,
@@ -70,8 +71,9 @@ def test_huge_signal_degenerate_counts():
     assert est.mean_overlap == 1.0
 
 
-def test_estimate_risk_deterministic_across_workers():
-    # exact trials fan out to threads; heuristic ones run serially
+def test_estimate_risk_deterministic_across_workers(monkeypatch):
+    # these trials are light; open the fan-out gate so 4 workers really run them
+    monkeypatch.setattr(parallel, "FAN_OUT_SECONDS", 0.0)
     d = Dims(20, 20, 3, 3)
     for method in ("heuristic", "exact"):
         runs = [
@@ -96,9 +98,11 @@ def test_risk_does_not_depend_on_planted_location():
     assert abs(corner.risk - sum(misses) / 150) <= 2 * half
 
 
-def test_sweep_grid_composition():
+def test_sweep_grid_composition(monkeypatch):
     # the trial-major sweep scans each trial's one noise draw at every level;
-    # each grid point must still equal a one-level estimate_risk, bit for bit
+    # each grid point must still equal a one-level estimate_risk, bit for bit,
+    # also when the fan-out gate lets 2 workers run these light trials
+    monkeypatch.setattr(parallel, "FAN_OUT_SECONDS", 0.0)
     d = Dims(20, 20, 3, 3)
     a_star = critical_value(d)
     mults = [0.5, 1.0, 2.0]
@@ -213,18 +217,3 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
-
-
-@pytest.mark.parametrize("method, expected", [("exact", 2), ("heuristic", 1)])
-def test_only_exact_trials_fan_out(monkeypatch, method, expected):
-    import subscan.montecarlo as mc
-
-    seen = []
-
-    def record(fn, count, workers=None):
-        seen.append(workers)
-        return [fn(i) for i in range(count)]
-
-    monkeypatch.setattr(mc, "map_indexed", record)
-    estimate_risk(Dims(6, 6, 2, 2), 2.0, 3, seed=5, selector_method=method, restarts=2, workers=2)
-    assert seen == [expected]
