@@ -332,12 +332,14 @@ _NOT_UTF8 = b"\xff\xfe\x00garbage"
 _META = json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}).encode()
 
 
-# the metadata file's own faults are in test_json_file_fault_exits_with_json
-@pytest.mark.parametrize("body", ["1,2\n3,x\n", "1,2\n3,4,5\n"], ids=["non_numeric", "ragged"])
-def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body):
+# the metadata file's other faults are in test_json_file_fault_exits_with_json
+@pytest.mark.parametrize("body, meta", [
+    ("1,2\n3,x\n", _META), ("1,2\n3,4,5\n", _META), ("1,2\n3,4\n", _NOT_UTF8),
+], ids=["non_numeric", "ragged", "meta_not_utf8"])
+def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body, meta):
     matrix = tmp_path / "bad.csv"
     matrix.write_text(body)
-    (tmp_path / "bad.csv.meta.json").write_bytes(_META)
+    (tmp_path / "bad.csv.meta.json").write_bytes(meta)
     code, _, err = run_cli(["select", "--matrix", str(matrix)], capsys)
     assert code == EXIT_USAGE
     payload = json.loads(err)
@@ -456,6 +458,8 @@ def _config_run(tmp_path, capsys, argv, values):
     (["select", "--matrix", "m.csv"], {"out": 3}, "--out must be a string, got 3"),
     (["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"],
      {"method": "brute-force"}, "--method must be one of exact, heuristic"),
+    pytest.param(["risk", "--N", "8", "--M", "8", "--n", "2", "--m", "2", "--a", "1"], _NOT_UTF8,
+                 "unreadable config file", id="not_utf8"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, argv, values, needle):
     code, out, err = _config_run(tmp_path, capsys, argv, values)
