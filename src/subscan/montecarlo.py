@@ -12,9 +12,9 @@ worker count.  `scan_trials` is the one trial loop, and it is trial-major: a
 trial draws its noise and its selector seed once and scans them at every
 signal level asked for, so the levels of a sweep share the noise draw and
 the heuristic's restart rows.  `parallel.map_indexed` fans the trials out
-only when the first one is heavy, whatever the method.  The loop runs at one
-level for risk and at a = 0 for detection's null calibration.  Failure is
-exact set mismatch; the average overlap fraction is a diagnostic only.
+only when the first one is heavy.  The loop runs at one level for risk and
+at a = 0 for detection's null calibration.  Failure is exact set mismatch;
+the average overlap fraction is a diagnostic only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 from .errors import ValidationError
 from .model import Dims, SignalSpec, Support, canonical_support, check_signal_level, generate, plant
-from .parallel import map_indexed
+from .parallel import map_indexed, map_windowed
 from .selector import EXACT_ENUMERATION_BUDGET, scan, vector_select
 from .selector import scan_exact, scan_heuristic  # noqa: F401  perfbench's tracer rebinds these here
 from .streams import derive_seed, gaussian_stream
@@ -219,7 +219,7 @@ def vector_risk(
         overlap = len(set(picked) & set(planted)) / n
         return picked != planted, overlap
 
-    outcomes = map_indexed(one_trial, trials, workers)
+    outcomes = list(map_windowed(one_trial, range(trials), workers))  # see parallel's docstring
     return _risk_estimate(outcomes, "vector", Dims(N, 1, n, 1), a, seed)
 
 
@@ -241,5 +241,5 @@ def max_gauss_exceedance(J: int, t: float, trials: int, seed: int,
         draws = gaussian_stream(derive_seed(seed, (_NOISE_TAG, tr))).standard_normal(J)
         return bool(draws.max() >= threshold)
 
-    hits = map_indexed(one_trial, trials, workers)
+    hits = list(map_windowed(one_trial, range(trials), workers))
     return sum(hits) / trials

@@ -6,14 +6,13 @@ identical to a sequential run; `map_indexed` runs it over 0..count-1.  The
 worker count has one source, the caller's `workers` argument (the CLI's
 --threads); None means one worker.
 
-Threads fan out whole Monte Carlo trials, never the inside of one scan: the
-trial loops of `montecarlo.scan_trials` (behind `estimate_risk`, `sweep` and
-`calibrate`), `vector_risk` and `max_gauss_exceedance`.  Light trials, exact
-or heuristic, lose more to futures and GIL hand-offs than a second thread
-gains, so `map_indexed` times item 0 alone and fans out the rest only if it
-took at least FAN_OUT_SECONDS; results come back in the same order either
-way.  A single exact scan, whose branch and bound prunes most of its work to
-a few small blocks, runs on one thread.
+Threads fan out whole Monte Carlo trials, never the inside of one scan.  A
+`vector_risk` or `max_gauss_exceedance` trial is one long Gaussian draw,
+filled with the GIL released, so those loops always fan out.  Scan trials
+(`montecarlo.scan_trials`) hold the GIL most of the time, and light ones lose
+more to GIL hand-offs than a second thread gains, so `map_indexed` times item
+0 alone, warm-up included, and fans out the rest only if it took at least
+FAN_OUT_SECONDS.  A single exact scan runs on one thread.
 """
 
 from __future__ import annotations
@@ -58,9 +57,7 @@ def map_windowed(fn: Callable[[T], R], items: Iterable[T], workers: int | None =
 def map_indexed(fn: Callable[[int], R], count: int, workers: int | None = None) -> list[R]:
     """[fn(0), ..., fn(count-1)], each computed once; the items after fn(0), if more
     than one, fan out to `workers` threads only if fn(0), timed alone, took FAN_OUT_SECONDS."""
-    if count < 1:
-        return []
     start = perf_counter()
-    first = fn(0)
+    head = [fn(0)] if count > 0 else []
     heavy = count > 2 and perf_counter() - start >= FAN_OUT_SECONDS
-    return [first, *map_windowed(fn, range(1, count), workers if heavy else 1)]
+    return head + list(map_windowed(fn, range(1, count), workers if heavy else 1))

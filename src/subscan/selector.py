@@ -21,9 +21,9 @@ every scan settles its ties through them.  Every top-k selection is
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ EXACT_ENUMERATION_BUDGET = 10_000_000
 BRUTE_FORCE_BUDGET = 1_000_000
 MAX_ALTERNATIONS = 1000
 METHODS = ("exact", "heuristic")
+_last_restart_rows = threading.local()  # per thread: the key and rows of its last call
 
 
 @dataclass(frozen=True)
@@ -281,18 +282,20 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
     return rows, cols, obj, cycles
 
 
-@functools.lru_cache(maxsize=1)
 def _restart_rows(N: int, n: int, restarts: int, seed: int) -> np.ndarray:
     """Initial row set of each restart r: n of N drawn without replacement from
-    gaussian_stream(seed, (r,)), sorted; read-only.  The last call is kept, so
-    the signal levels of one Monte Carlo trial, which share a seed, share one
-    draw."""
-    rows = np.array([
-        np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
-        for r in range(restarts)
-    ])
-    rows.flags.writeable = False
-    return rows
+    gaussian_stream(seed, (r,)), sorted; read-only.  Each thread keeps its last
+    call, so the signal levels of one Monte Carlo trial, which share a seed and
+    a thread, share one draw even when trials fan out."""
+    key = (N, n, restarts, seed)
+    if getattr(_last_restart_rows, "key", None) != key:
+        rows = np.array([
+            np.sort(gaussian_stream(seed, (r,)).choice(N, size=n, replace=False))
+            for r in range(restarts)
+        ])
+        rows.flags.writeable = False
+        _last_restart_rows.key, _last_restart_rows.rows = key, rows
+    return _last_restart_rows.rows
 
 
 def scan_heuristic(

@@ -122,7 +122,8 @@ def worker_dependent() -> list[str]:
         "vector": lambda w: vector_risk(2000, 5, 4.0, 50, 8, workers=w),
         "maxgauss": lambda w: max_gauss_exceedance(1000, 1.0, 200, 9, workers=w),
     }
-    gate, parallel.FAN_OUT_SECONDS = parallel.FAN_OUT_SECONDS, 0.0  # fan out even these light trials
+    # open the gate, process-wide, so even these light trials reach 4- and 8-worker pools
+    gate, parallel.FAN_OUT_SECONDS = parallel.FAN_OUT_SECONDS, 0.0
     try:
         return [name for name, result in runs.items() if not result(1) == result(4) == result(8)]
     finally:

@@ -9,13 +9,16 @@ import pytest
 
 from subscan import Dims, calibrate, estimate_risk, max_gauss_exceedance, parallel, vector_risk
 
-# every trial loop goes through the gate, whatever the method
+# every scan trial loop goes through the gate, whatever the method
 ENTRY_POINTS = {
     "risk-exact": lambda: estimate_risk(Dims(6, 6, 2, 2), 2.0, 5, seed=5, workers=2),
     "risk-heuristic": lambda: estimate_risk(Dims(6, 6, 2, 2), 2.0, 5, seed=5,
                                             selector_method="heuristic", restarts=2, workers=2),
     "calibration": lambda: calibrate(Dims(6, 6, 2, 2), 0.5, 200, seed=5, method="heuristic",
                                      restarts=2, workers=2),
+}
+# a Gaussian-draw trial releases the GIL, so these loops fan out at any size
+UNGATED = {
     "vector": lambda: vector_risk(50, 3, 1.0, 5, seed=5, workers=2),
     "maxgauss": lambda: max_gauss_exceedance(50, 1.0, 100, seed=5, workers=2),
 }
@@ -45,6 +48,13 @@ def test_closed_gate_starts_no_pool(monkeypatch, pools, entry):
 def test_open_gate_starts_a_pool(monkeypatch, pools, entry):
     monkeypatch.setattr(parallel, "FAN_OUT_SECONDS", 0.0)
     ENTRY_POINTS[entry]()
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("entry", UNGATED)
+def test_gaussian_draw_loops_fan_out_past_a_closed_gate(monkeypatch, pools, entry):
+    monkeypatch.setattr(parallel, "FAN_OUT_SECONDS", math.inf)
+    UNGATED[entry]()
     assert pools == [2]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -468,6 +469,27 @@ def test_restart_rows_match_their_streams(seed):
             rows = _restart_rows(N, n, 41, s)
             assert np.array_equal(rows, np.array(expected))
             assert not rows.flags.writeable
+
+
+def test_restart_rows_are_kept_per_thread():
+    from subscan.selector import _restart_rows
+
+    # two fanned-out trials draw in turn; each thread's repeat call, the next
+    # signal level of its trial, must still get its own trial's draw back
+    both_drew = threading.Barrier(2, timeout=30)
+    reused = {}
+
+    def trial(seed):
+        first = _restart_rows(50, 5, 8, seed)
+        both_drew.wait()
+        reused[seed] = _restart_rows(50, 5, 8, seed) is first
+
+    threads = [threading.Thread(target=trial, args=(seed,)) for seed in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert reused == {1: True, 2: True}
 
 
 def test_heuristic_restart_guard():
