@@ -9,6 +9,7 @@ JSON input file (metadata, calibration, config) is read by `read_json_object`.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -62,8 +63,9 @@ def save_matrix(
 
 
 def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
-    """Read a CSV matrix and its metadata; raises ValidationError if a cell is
-    not a number, the rows are ragged or the metadata is malformed, and
+    """Read a CSV matrix and its metadata; raises ValidationError if the file
+    holds no data, a cell is not a number, the rows are ragged, the metadata is
+    malformed or the entries break Observation's bound, and
     DimensionMismatchError if the file contents disagree with the recorded
     dims."""
     matrix_path = Path(matrix_path)
@@ -77,9 +79,15 @@ def load_matrix(matrix_path, meta_path=None) -> tuple[Observation, dict]:
     except ValidationError as exc:
         raise ValidationError(f"malformed metadata file {meta_path}: {exc}") from exc
     try:
-        data = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
+        # a file with no data is reported below, not warned of; the filter is
+        # process-wide, and no worker thread loads a matrix
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"unreadable matrix file {matrix_path}: {exc}") from exc
+    if not data.size:
+        raise ValidationError(f"matrix file {matrix_path} contains no data")
     if data.shape != dims.shape:
         raise DimensionMismatchError(
             f"matrix file is {data.shape[0]}x{data.shape[1]}, metadata says {dims.N}x{dims.M}"

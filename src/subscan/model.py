@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .streams import gaussian_stream
+
+_SUM_LIMIT = sys.float_info.max / 2
 
 
 def _as_index(value, name: str) -> int:
@@ -127,7 +130,9 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class Observation:
-    """An immutable N x M float64 data matrix tied to its Dims."""
+    """An immutable N x M float64 data matrix tied to its Dims.  Every sum a
+    scan forms is over distinct cells, so at most max|entry| * N * M, which is
+    kept below half the float64 range: room for the exact scan's slack."""
 
     data: np.ndarray
     dims: Dims
@@ -138,8 +143,10 @@ class Observation:
             raise DimensionMismatchError(
                 f"data shape {data.shape} does not match dims {self.dims.shape}"
             )
-        if not np.isfinite(data).all():
-            raise ValidationError("observation contains non-finite entries")
+        peak = float(np.abs(data).max())  # a Python float, so the product cannot warn
+        if not peak * data.size < _SUM_LIMIT:
+            raise ValidationError(f"observation needs max|entry| * N * M < {_SUM_LIMIT:.4g}, "
+                                  f"got max|entry| = {peak:.4g} with N * M = {data.size}")
         if data.flags.writeable:
             data = data.copy()
             data.flags.writeable = False

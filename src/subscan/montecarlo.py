@@ -84,13 +84,13 @@ class SweepResult:
         return lines
 
 
-def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; well-behaved at 0 and 1."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion; well-behaved at 0 and 1."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not 0 <= failures <= trials:
         raise ValidationError(f"failures must lie in [0, {trials}], got {failures}")
-    phat = failures / trials
+    phat, z = failures / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom

@@ -116,7 +116,7 @@ def _incumbent(W: np.ndarray, k: int, t: int) -> float:
     columns.  scan_exact passes W with its strongest rows first."""
     cols = top_indices(W[:2 * k], t)
     init = top_indices(W[:, cols].sum(axis=2).T, k)
-    rows = _climb(W, init, k, t, MAX_ALTERNATIONS)[0]
+    rows = _climb(W, init, k, t)[0]
     return float(_top_sums(W[rows].sum(axis=1), t).max())
 
 
@@ -220,18 +220,16 @@ def scan_exact(
     return SelectorResult(Support(rows, cols), _objective(Y, rows, cols), "exact")
 
 
-def scan_brute_force(
-    obs: Observation, n: int, m: int, budget: int = BRUTE_FORCE_BUDGET
-) -> SelectorResult:
+def scan_brute_force(obs: Observation, n: int, m: int) -> SelectorResult:
     """Reference oracle: exhaustive maximization over every row-set x column-set
     pair, with the same tie-breaking as scan_exact.  Intentionally does not use
     the top-k column reduction."""
     Y = _check_shape(obs, n, m)
     N, M = Y.shape
     total = math.comb(N, n) * math.comb(M, m)
-    if total > budget:
+    if total > BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(
-            f"brute force needs {total:,} support pairs, over the budget of {budget:,}"
+            f"brute force needs {total:,} support pairs, over the budget of {BRUTE_FORCE_BUDGET:,}"
         )
     col_sets = np.asarray(list(itertools.combinations(range(M), m)), dtype=np.intp)
     best = (np.inf,)
@@ -245,15 +243,15 @@ def scan_brute_force(
     return SelectorResult(support, _objective(Y, rows, cols), "brute_force")
 
 
-def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
+def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int):
     """Alternating row/column top-k updates for all restarts at once.
 
     `rows` holds one initial row set per line.  A restart leaves the active
-    set at its first cycle whose objective does not strictly rise.  Returns
-    (rows, cols, objective, cycles), one line or entry per restart.  The sums
-    reduce the same axes as the one-restart expressions Y[:, cols].sum(axis=1),
-    Y[rows].sum(axis=0) and Y[np.ix_(rows, cols)].sum(), so every float is
-    bit-identical to them.
+    set at its first cycle whose objective does not strictly rise, or after
+    MAX_ALTERNATIONS cycles.  Returns (rows, cols, objective, cycles), one line
+    or entry per restart.  The sums reduce the same axes as the one-restart
+    expressions Y[:, cols].sum(axis=1), Y[rows].sum(axis=0) and
+    Y[np.ix_(rows, cols)].sum(), so every float is bit-identical to them.
     """
     rows = rows.copy()
 
@@ -267,7 +265,7 @@ def _climb(Y: np.ndarray, rows: np.ndarray, n: int, m: int, max_cycles: int):
     obj = objectives(rows, cols)
     cycles = np.zeros(len(rows), dtype=np.intp)
     active = np.arange(len(rows))
-    for _ in range(max_cycles):
+    for _ in range(MAX_ALTERNATIONS):
         rows_next = top_indices(Y[:, cols[active]].sum(axis=2).T, n)
         cols_next = top_indices(col_sums(rows_next), m)
         obj_next = objectives(rows_next, cols_next)
@@ -298,21 +296,15 @@ def _restart_rows(N: int, n: int, restarts: int, seed: int) -> np.ndarray:
     return _last_restart_rows.rows
 
 
-def scan_heuristic(
-    obs: Observation,
-    n: int,
-    m: int,
-    restarts: int = 20,
-    seed: int = 0,
-    max_cycles: int = MAX_ALTERNATIONS,
-) -> SelectorResult:
+def scan_heuristic(obs: Observation, n: int, m: int, restarts: int = 20,
+                   seed: int = 0) -> SelectorResult:
     """Best fixed point of alternating maximization over `restarts` random
     initial row sets (streams keyed by (seed, restart)).  `iterations` is the
     winning restart's number of improving cycles."""
     Y = _check_shape(obs, n, m)
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rows, cols, obj, cycles = _climb(Y, _restart_rows(Y.shape[0], n, restarts, seed), n, m, max_cycles)
+    rows, cols, obj, cycles = _climb(Y, _restart_rows(Y.shape[0], n, restarts, seed), n, m)
     r = _best_line(obj, rows, cols)
     return SelectorResult(
         Support(tuple(rows[r].tolist()), tuple(cols[r].tolist())), float(obj[r]), "heuristic",

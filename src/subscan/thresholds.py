@@ -70,9 +70,12 @@ def _critical_terms(dims: Dims) -> tuple[float, float, float]:
         raise DomainError(f"threshold formulas need n < N, got n={n}, N={N}")
     if m >= M:
         raise DomainError(f"threshold formulas need m < M, got m={m}, M={M}")
-    t1 = _edge_critical(n, N, m)
-    t2 = _edge_critical(m, M, n)
-    t3 = math.sqrt(2.0 * (n * math.log(N / n) + m * math.log(M / m))) / math.sqrt(n * m)
+    try:
+        t1 = _edge_critical(n, N, m)
+        t2 = _edge_critical(m, M, n)
+        t3 = math.sqrt(2.0 * (n * math.log(N / n) + m * math.log(M / m))) / math.sqrt(n * m)
+    except OverflowError as exc:
+        raise DomainError(f"threshold formulas overflow float range: {exc}") from exc
     if t1 == 0.0 or t2 == 0.0:
         raise DomainError(
             "degenerate logarithms (n=1 with N=2, or m=1 with M=2) give a zero denominator"
@@ -88,13 +91,17 @@ def compute(dims: Dims, a: float) -> Thresholds:
     A2 = a / t2
     A = a / t3
     anm = a * (dims.n * dims.m)
+    try:
+        det_quantity = anm * anm / (dims.N * dims.M)
+    except OverflowError as exc:
+        raise DomainError(f"det_quantity overflows float range: {exc}") from exc
     return Thresholds(
         A=A,
         A1=A1,
         A2=A2,
         B=min(A1, A2, A),
         a_star=max(t1, t2, t3),
-        det_quantity=anm * anm / (dims.N * dims.M),
+        det_quantity=det_quantity,
     )
 
 

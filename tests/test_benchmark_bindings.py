@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from subscan import parallel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,7 +50,8 @@ def test_fan_out_helpers_exist():
     assert list(parallel.map_windowed(str, range(3), workers=2)) == ["0", "1", "2"]
 
 
-def test_traced_run_passes_its_checks(tmp_path):
+@pytest.mark.parametrize("workload", ["risk-exact", "sweep-heuristic", "calibrate-detect"])
+def test_traced_run_passes_its_checks(tmp_path, workload):
     # `run.py --trace 1` calls subscan with keywords (such as `workers=`) that
     # only this run passes; a fresh process keeps its tracer and environment
     # apart from the other tests
@@ -60,7 +63,7 @@ import run
 from workloads import WORKLOADS
 
 run.OUT = Path({str(tmp_path / "out")!r})
-wl = WORKLOADS["risk-exact"](1, Path({str(tmp_path / "work")!r}))
+wl = WORKLOADS[{workload!r}](1, Path({str(tmp_path / "work")!r}))
 wl.workdir.mkdir()
 result = run.Run(wl)
 run.traced(wl, result)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subscan import Dims, SignalSpec, canonical_support, cli, generate, scan_exact, selftest
@@ -130,6 +131,36 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == EXIT_DOMAIN
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("dims", [
+    ["--N", "1" + "0" * 400, "--M", "10", "--n", "2", "--m", "2"],  # log(N / n)
+    ["--N", "1" + "0" * 400, "--M", "1" + "0" * 401, "--n", "2",
+     "--m", "1" + "0" * 400],  # sqrt(m) in _edge_critical
+    ["--N", "1" + "0" * 200, "--M", "1" + "0" * 200, "--n", "2", "--m", "2"],  # / (N * M)
+], ids=["log", "sqrt", "det"])
+def test_classify_past_float_range_is_domain_error(capsys, dims):
+    code, out, err = run_cli(["classify", *dims, "--a", "1"], capsys)
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+# entries whose block sums overflow float64: past Observation's bound
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["exact", "heuristic"])
+def test_signal_past_the_sum_bound_is_usage_error(tmp_path, capsys, method):
+    code, out, err = run_cli(["risk", "--N", "10", "--M", "10", "--n", "2", "--m", "2",
+                              "--a", "1e308", "--trials", "2", "--method", method], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "max|entry| * N * M" in json.loads(err)["detail"]
+    data = np.zeros((6, 6))
+    data[:2, :2] = 1e308  # the block `generate --a 1e308` wrote before the bound
+    matrix = tmp_path / "huge.csv"
+    np.savetxt(matrix, data, fmt="%.17g", delimiter=",")
+    default_meta_path(matrix).write_text(json.dumps({"N": 6, "M": 6, "n": 2, "m": 2}))
+    code, out, err = run_cli(["select", "--matrix", str(matrix), "--method", method], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 def test_missing_required_flag_exit_code(capsys):
@@ -332,16 +363,18 @@ _NOT_UTF8 = b"\xff\xfe\x00garbage"
 _META = json.dumps({"N": 2, "M": 2, "n": 1, "m": 1}).encode()
 
 
-# the metadata file's other faults are in test_json_file_fault_exits_with_json
+# the metadata file's other faults are in test_json_file_fault_exits_with_json;
+# warnings are errors, so numpy's note on a file with no data fails the test
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("body, meta", [
-    ("1,2\n3,x\n", _META), ("1,2\n3,4,5\n", _META), ("1,2\n3,4\n", _NOT_UTF8),
-], ids=["non_numeric", "ragged", "meta_not_utf8"])
+    ("1,2\n3,x\n", _META), ("1,2\n3,4,5\n", _META), ("1,2\n3,4\n", _NOT_UTF8), ("", _META),
+], ids=["non_numeric", "ragged", "meta_not_utf8", "empty"])
 def test_unreadable_matrix_is_usage_error(tmp_path, capsys, body, meta):
     matrix = tmp_path / "bad.csv"
     matrix.write_text(body)
     (tmp_path / "bad.csv.meta.json").write_bytes(meta)
-    code, _, err = run_cli(["select", "--matrix", str(matrix)], capsys)
-    assert code == EXIT_USAGE
+    code, out, err = run_cli(["select", "--matrix", str(matrix)], capsys)
+    assert code == EXIT_USAGE and out == ""
     payload = json.loads(err)
     assert payload["error"] == "validation"
     assert str(matrix) in payload["detail"]

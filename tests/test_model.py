@@ -201,3 +201,11 @@ def test_observation_rejects_bad_data():
         Observation(np.zeros((3, 2)), d)
     with pytest.raises(ValidationError):
         Observation(np.array([[0.0, np.inf], [0.0, 0.0]]), d)
+    # max|entry| * N * M must stay below half the float64 range; a finite
+    # matrix past it is refused like a non-finite one
+    limit = np.finfo(np.float64).max / 2 / 4
+    Observation(np.full((2, 2), np.nextafter(limit, 0.0)), d)
+    for bad in (limit * 1.0001, -1e308, np.nan, -np.inf):
+        with pytest.raises(ValidationError, match="max\\|entry\\| \\* N \\* M"):
+            Observation(np.array([[0.0, 0.0], [bad, 0.0]]), d)
+

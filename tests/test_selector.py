@@ -16,6 +16,7 @@ from subscan import (
     critical_value,
     generate,
     generate_null,
+    linear_statistic,
     log_lr,
     make_support,
     scan_brute_force,
@@ -23,6 +24,7 @@ from subscan import (
     scan_heuristic,
     vector_select,
 )
+from subscan import selector
 from subscan.selector import _climb, _incumbent, _top_sums, top_indices
 from subscan.streams import gaussian_stream
 
@@ -353,7 +355,7 @@ def test_heuristic_single_restart_finds_dominant_signal():
     assert res.restarts_used == 1
 
 
-def test_heuristic_ascent_is_strictly_increasing():
+def test_heuristic_ascent_is_strictly_increasing(monkeypatch):
     # capping the climb at k cycles gives every restart's objective after k
     # cycles: it rises strictly with each cycle a restart takes, then stays
     for seed in range(20):
@@ -362,10 +364,12 @@ def test_heuristic_ascent_is_strictly_increasing():
             np.sort(gaussian_stream(900 + seed, (r,)).choice(15, size=4, replace=False))
             for r in range(6)
         ])
-        rows, cols, final_obj, final_cycles = _climb(Y, init, 4, 4, 1000)
+        monkeypatch.setattr(selector, "MAX_ALTERNATIONS", 1000)
+        rows, cols, final_obj, final_cycles = _climb(Y, init, 4, 4)
         prev = None
         for k in range(int(final_cycles.max()) + 2):
-            _, _, obj, cycles = _climb(Y, init, 4, 4, k)
+            monkeypatch.setattr(selector, "MAX_ALTERNATIONS", k)
+            _, _, obj, cycles = _climb(Y, init, 4, 4)
             assert np.array_equal(cycles, np.minimum(k, final_cycles))
             if prev is not None:
                 moved = final_cycles >= k
@@ -399,15 +403,13 @@ def _reference_heuristic(Y, n, m, restarts, seed, max_cycles=1000):
 
 @pytest.mark.parametrize("N, M, n, m", [(12, 12, 3, 3), (30, 50, 3, 7), (40, 40, 9, 10), (20, 60, 2, 20)])
 @pytest.mark.parametrize("kind", ["gauss", "integer", "binary"])
-def test_heuristic_matches_one_restart_reference(N, M, n, m, kind):
+def test_heuristic_matches_one_restart_reference(N, M, n, m, kind, monkeypatch):
     for seed in range(8):
         Z = gaussian_stream(5000 + seed, (N, M)).standard_normal((N, M))
         Y = {"gauss": Z, "integer": np.round(2 * Z), "binary": (Z > 0.3).astype(float)}[kind]
         restarts, max_cycles = (1, 5, 20, 20)[seed % 4], (1000, 1, 2, 1000)[seed % 4]
-        res = scan_heuristic(
-            Observation(Y, Dims(N, M, n, m)), n, m,
-            restarts=restarts, seed=seed, max_cycles=max_cycles,
-        )
+        monkeypatch.setattr(selector, "MAX_ALTERNATIONS", max_cycles)
+        res = scan_heuristic(Observation(Y, Dims(N, M, n, m)), n, m, restarts=restarts, seed=seed)
         (obj, rows, cols), cycles = _reference_heuristic(Y, n, m, restarts, seed, max_cycles)
         assert (res.objective, res.support.rows, res.support.cols, res.iterations) == (
             obj, rows, cols, cycles
@@ -554,3 +556,19 @@ def test_log_lr_guards():
     for rows in ((3, -1), (1, 1), (0, 5)):
         with pytest.raises(DimensionMismatchError):
             log_lr(obs, Support(rows, (0, 1)), 1.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (3, 3)])
+def test_scans_stay_finite_just_inside_the_bound(n, m):
+    # max|entry| * N * M just below half the float64 range: every sum a scan
+    # forms, and the exact scan's slack, stay finite
+    big = np.nextafter(np.finfo(np.float64).max / 2 / 36, 0.0)
+    Z = gaussian_stream(77).standard_normal((6, 6))
+    for Y in (np.full((6, 6), big), big * (Z / np.abs(Z).max())):
+        for data in (Y, -Y):
+            obs = Observation(data, Dims(6, 6, n, m))
+            results = [scan_exact(obs, n, m), scan_heuristic(obs, n, m, restarts=4),
+                       scan_brute_force(obs, n, m)]
+            assert all(np.isfinite(res.objective) for res in results)
+            assert results[0].objective == results[2].objective
+            assert np.isfinite(linear_statistic(obs))
